@@ -36,10 +36,8 @@ from .model import (
     extend_embedding,
     gradient,
     nll,
-    posterior,
     predict,
     score,
-    score_all,
     score_matrix,
 )
 from .optim import AdamState, SgdState, adam_step, sgd_step

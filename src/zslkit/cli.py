@@ -11,19 +11,16 @@ Exit codes: 0 success, 1 validation or data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import io
 from .embeddings import SOURCE_ORDER, EmbeddingSources, build_class_embeddings
-from .errors import ConfigError, ZslError
+from .errors import AlignmentError, ConfigError, ZslError
 from .evaluate import ablate_embeddings, ablate_linear_terms, evaluate_zsl
 from .train import TrainConfig, train
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _load_cfg(args) -> dict:
@@ -46,21 +43,8 @@ def _require(cfg: dict, keys, command: str) -> None:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg.get("batch_size", 100),
-        max_iterations=cfg.get("max_iterations", 10_000),
-        eval_every=cfg.get("eval_every", 100),
-        seed=cfg.get("seed", 0),
-        init_scheme=cfg.get("init_scheme", "glorot_uniform"),
-        oversample=cfg.get("oversample", True),
-        optimizer=cfg.get("optimizer", "adam"),
-        learning_rate=cfg.get("learning_rate", 1e-3),
-        beta1=cfg.get("beta1", 0.9),
-        beta2=cfg.get("beta2", 0.999),
-        epsilon=cfg.get("epsilon", 1e-8),
-        use_wx=cfg.get("use_wx", True),
-        use_wy=cfg.get("use_wy", True),
-    )
+    return TrainConfig(**{f.name: cfg[f.name]
+                          for f in dataclasses.fields(TrainConfig) if f.name in cfg})
 
 
 def _sources_list(cfg: dict) -> tuple[str, ...]:
@@ -97,10 +81,7 @@ def _load_dataset(cfg: dict):
                            l2_normalize=cfg.get("l2_normalize", False))
 
 
-def _load_embeddings(cfg: dict):
-    if "embeddings" in cfg:
-        return io.load_class_embeddings(cfg["embeddings"])
-    # fall back to building from sources on the fly
+def _build_embeddings(cfg: dict):
     _require(cfg, ("splits",), "embedding construction")
     splits = io.load_splits(cfg["splits"])
     sources = _sources_list(cfg)
@@ -109,15 +90,28 @@ def _load_embeddings(cfg: dict):
                                   normalize_blocks=cfg.get("normalize_blocks", False))
 
 
+def _load_embeddings(cfg: dict):
+    if "embeddings" in cfg:
+        return io.load_class_embeddings(cfg["embeddings"])
+    return _build_embeddings(cfg)
+
+
+def _checkpoint_model(cfg: dict, embeddings):
+    """The checkpoint's model, refused unless it was trained on embeddings
+    with the same block layout as the ones it is about to score."""
+    checkpoint = io.load_checkpoint(cfg["checkpoint"])
+    if checkpoint.block_layout != embeddings.block_layout:
+        raise AlignmentError(
+            f"checkpoint {cfg['checkpoint']} was trained on embedding layout "
+            f"{io._fmt_layout(checkpoint.block_layout)!r} but the class "
+            f"embeddings have layout {io._fmt_layout(embeddings.block_layout)!r}")
+    return checkpoint.model
+
+
 def cmd_embed(args) -> int:
     cfg = _load_cfg(args)
     _require(cfg, ("splits", "embeddings_out"), "embed")
-    splits = io.load_splits(cfg["splits"])
-    sources = _sources_list(cfg)
-    inputs = _embedding_sources(cfg, sources)
-    embeddings = build_class_embeddings(
-        splits.all_classes(), sources, inputs,
-        normalize_blocks=cfg.get("normalize_blocks", False))
+    embeddings = _build_embeddings(cfg)
     io.save_class_embeddings(cfg["embeddings_out"], embeddings)
     print(f"wrote {len(embeddings)} class embeddings (m={embeddings.m}) "
           f"to {cfg['embeddings_out']}")
@@ -144,7 +138,7 @@ def cmd_train(args) -> int:
         Path(cfg["report_out"]).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"best_iteration\t{report.best_iteration}")
-    print(f"best_val_accuracy\t{_fmt(report.best_accuracy)}")
+    print(f"best_val_accuracy\t{io._fmt(report.best_accuracy)}")
     return 0
 
 
@@ -153,12 +147,12 @@ def cmd_eval(args) -> int:
     _require(cfg, ("checkpoint",), "eval")
     dataset = _load_dataset(cfg)
     embeddings = _load_embeddings(cfg)
-    checkpoint = io.load_checkpoint(cfg["checkpoint"])
+    model = _checkpoint_model(cfg, embeddings)
     split = cfg.get("eval_split", "zsl_test")
-    result = evaluate_zsl(checkpoint.model, dataset, embeddings, split)
-    print(f"normalized_accuracy\t{_fmt(result.normalized_accuracy)}")
+    result = evaluate_zsl(model, dataset, embeddings, split)
+    print(f"normalized_accuracy\t{io._fmt(result.normalized_accuracy)}")
     for cls, acc in result.per_class_accuracy.items():
-        print(f"{cls}\t{_fmt(acc)}")
+        print(f"{cls}\t{io._fmt(acc)}")
     if "report_out" in cfg:
         confusion: dict[str, dict[str, int]] = {}
         for (true, pred), count in sorted(result.confusion.items()):
@@ -180,7 +174,7 @@ def cmd_predict(args) -> int:
     features = io.load_features(cfg["features"],
                                 l2_normalize=cfg.get("l2_normalize", False))
     embeddings = _load_embeddings(cfg)
-    checkpoint = io.load_checkpoint(cfg["checkpoint"])
+    model = _checkpoint_model(cfg, embeddings)
     if "splits" in cfg:
         splits = io.load_splits(cfg["splits"])
         candidates = splits.classes(cfg.get("eval_split", "zsl_test"))
@@ -189,7 +183,7 @@ def cmd_predict(args) -> int:
     from .model import score_matrix  # local to keep CLI imports light
     import numpy as np
 
-    S = score_matrix(checkpoint.model, features.matrix,
+    S = score_matrix(model, features.matrix,
                      embeddings.select(candidates))
     lines = [f"{i}\t{candidates[k]}"
              for i, k in zip(features.ids, np.argmax(S, axis=1))]
@@ -222,8 +216,8 @@ def cmd_ablate(args) -> int:
         for row in rows:
             flags = "\t".join("1" if s in row.sources else "0"
                               for s in SOURCE_ORDER)
-            extra = f"\t{_fmt(row.std)}" if repeats > 1 else ""
-            print(f"{flags}\t{_fmt(row.accuracy)}{extra}")
+            extra = f"\t{io._fmt(row.std)}" if repeats > 1 else ""
+            print(f"{flags}\t{io._fmt(row.accuracy)}{extra}")
     if grid in ("linear", "all"):
         embeddings = _load_embeddings(cfg)
         rows = ablate_linear_terms(dataset, embeddings, config,
@@ -231,8 +225,8 @@ def cmd_ablate(args) -> int:
         print("# linear-term grid")
         print("use_wx\tuse_wy\tnormalized_accuracy" + std_col)
         for row in rows:
-            extra = f"\t{_fmt(row.std)}" if repeats > 1 else ""
-            print(f"{int(row.use_wx)}\t{int(row.use_wy)}\t{_fmt(row.accuracy)}{extra}")
+            extra = f"\t{io._fmt(row.std)}" if repeats > 1 else ""
+            print(f"{int(row.use_wx)}\t{int(row.use_wy)}\t{io._fmt(row.accuracy)}{extra}")
     return 0
 
 

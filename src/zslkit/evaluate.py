@@ -17,6 +17,7 @@ import numpy as np
 from .embeddings import ClassEmbeddingSet, EmbeddingSources, build_class_embeddings
 from .errors import (
     AlignmentError,
+    ConfigError,
     EmptyClassSetError,
     IncompleteCoverageError,
     SplitViolationError,
@@ -186,6 +187,8 @@ class LinearTermRow:
 def _train_and_score(dataset, embeddings, config, eval_split, repeats):
     from .train import train  # deferred; train depends on this module
 
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     accs = []
     for r in range(repeats):
         cfg = dataclasses.replace(config, seed=config.seed + r)

@@ -44,23 +44,54 @@ from .errors import (
 )
 from .evaluate import SPLIT_NAMES, ClassSplits, SplitDataset
 from .model import CompatModel
-from .optim import AdamState, SgdState
 
 _CHECKPOINT_MAGIC = b"ZSLCKPT1\n"
-_OPT_STATE_MAGIC = b"ZSLOPT1\n"
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_layout(layout) -> str:
+    return ";".join(f"{tag}:{off}:{ln}" for tag, off, ln in layout)
+
+
+def _read_text(path) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         "not valid UTF-8 text") from None
+
+
 def _data_lines(path):
     """Yield (1-based line number, stripped line), skipping blanks."""
-    text = Path(path).read_text(encoding="utf-8")
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if line:
             yield no, line
+
+
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_pairs(path, usage: str, key_kind: str) -> dict[str, str]:
+    """Parse `key<TAB>value` lines into a dict, refusing repeated keys."""
+    out: dict[str, str] = {}
+    for no, line in _data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(path, no, f"expected '{usage}'")
+        if parts[0] in out:
+            raise ParseError(path, no, f"duplicate {key_kind} {parts[0]!r}")
+        out[parts[0]] = parts[1]
+    return out
+
+
+def _write_pairs(path, pairs: Mapping[str, str]) -> None:
+    _write_lines(path, (f"{k}\t{v}" for k, v in pairs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +132,8 @@ def load_features(path, l2_normalize: bool = False) -> FeatureSet:
     except (KeyError, ValueError):
         raise ParseError(path, header_no,
                          "header must be 'd=<int> n=<int> normalized=<0|1>'") from None
+    if d < 1:
+        raise ParseError(path, header_no, f"header needs d >= 1, got d={d}")
     ids: list[str] = []
     row_lines: list[int] = []
     rows = np.empty((len(lines) - 1, d), dtype=np.float64)
@@ -140,7 +173,7 @@ def save_features(path, features: FeatureSet) -> None:
            f"normalized={1 if features.normalized else 0}"]
     for i, row in zip(features.ids, features.matrix):
         out.append(i + " " + " ".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, out)
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +181,11 @@ def save_features(path, features: FeatureSet) -> None:
 # ---------------------------------------------------------------------------
 
 def load_labels(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for no, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected 'id<TAB>class_label'")
-        if parts[0] in out:
-            raise ParseError(path, no, f"duplicate instance id {parts[0]!r}")
-        out[parts[0]] = parts[1]
-    return out
+    return _read_pairs(path, "id<TAB>class_label", "instance id")
 
 
 def save_labels(path, labels: Mapping[str, str]) -> None:
-    out = [f"{i}\t{c}" for i, c in labels.items()]
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_pairs(path, labels)
 
 
 def load_splits(path) -> ClassSplits:
@@ -202,7 +226,7 @@ def save_splits(path, splits: ClassSplits) -> None:
     for name in SPLIT_NAMES:
         out.append(f"[{name}]")
         out.extend(splits.classes(name))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, out)
 
 
 def load_dataset(features_path, labels_path, splits_path,
@@ -214,7 +238,8 @@ def load_dataset(features_path, labels_path, splits_path,
     missing = [i for i in features.ids if i not in labels]
     if missing:
         raise AlignmentError(f"feature id(s) without a label: {missing[:5]}")
-    extra = [i for i in labels if i not in set(features.ids)]
+    feature_ids = set(features.ids)
+    extra = [i for i in labels if i not in feature_ids]
     if extra:
         raise AlignmentError(f"label id(s) without features: {extra[:5]}")
     return SplitDataset(features.ids, features.matrix,
@@ -251,9 +276,8 @@ def load_word_vectors(path) -> WordVectorTable:
 
 
 def save_word_vectors(path, table: WordVectorTable) -> None:
-    out = [t + " " + " ".join(_fmt(v) for v in vec)
-           for t, vec in table.vectors.items()]
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, (t + " " + " ".join(_fmt(v) for v in vec)
+                        for t, vec in table.vectors.items()))
 
 
 def load_taxonomy(path) -> TaxonomyTree:
@@ -269,26 +293,16 @@ def load_taxonomy(path) -> TaxonomyTree:
 
 
 def save_taxonomy(path, tree: TaxonomyTree) -> None:
-    out = [f"{node}\t{tree.parent(node)}"
-           for node in tree.node_order if tree.parent(node) is not None]
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, (f"{node}\t{tree.parent(node)}"
+                        for node in tree.node_order if tree.parent(node) is not None))
 
 
 def load_leaf_map(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for no, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected 'class<TAB>leaf_label'")
-        if parts[0] in out:
-            raise ParseError(path, no, f"duplicate class {parts[0]!r}")
-        out[parts[0]] = parts[1]
-    return out
+    return _read_pairs(path, "class<TAB>leaf_label", "class")
 
 
 def save_leaf_map(path, leaf_map: Mapping[str, str]) -> None:
-    out = [f"{c}\t{l}" for c, l in leaf_map.items()]
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_pairs(path, leaf_map)
 
 
 def load_attribute_schema(path) -> AttributeSchema:
@@ -305,8 +319,8 @@ def load_attribute_schema(path) -> AttributeSchema:
 
 
 def save_attribute_schema(path, schema: AttributeSchema) -> None:
-    out = [f"{name}\t{','.join(values)}" for name, values in schema.attributes]
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, (f"{name}\t{','.join(values)}"
+                        for name, values in schema.attributes))
 
 
 def load_attribute_assignments(path) -> dict[str, AttributeAssignment]:
@@ -335,7 +349,7 @@ def save_attribute_assignments(path, assignments: Mapping[str, AttributeAssignme
         fields = [f"{attr}={','.join(sorted(values))}"
                   for attr, values in a.chosen.items()]
         out.append("\t".join([name] + fields))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, out)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +367,8 @@ def load_class_embeddings(path) -> ClassEmbeddingSet:
         n = int(fields["n"])
     except (KeyError, ValueError):
         raise ParseError(path, h1_no, "header must be 'm=<int> n=<int>'") from None
+    if m < 1:
+        raise ParseError(path, h1_no, f"header needs m >= 1, got m={m}")
     h2_no, h2 = lines[1]
     if not h2.startswith("blocks="):
         raise ParseError(path, h2_no, "second header line must be 'blocks=...'")
@@ -385,11 +401,10 @@ def load_class_embeddings(path) -> ClassEmbeddingSet:
 
 def save_class_embeddings(path, embeddings: ClassEmbeddingSet) -> None:
     out = [f"m={embeddings.m} n={len(embeddings)}",
-           "blocks=" + ";".join(f"{tag}:{off}:{ln}"
-                                for tag, off, ln in embeddings.block_layout)]
+           "blocks=" + _fmt_layout(embeddings.block_layout)]
     for name, row in zip(embeddings.class_names, embeddings.matrix):
         out.append(name + "\t" + " ".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, out)
 
 
 # ---------------------------------------------------------------------------
@@ -425,63 +440,19 @@ def load_checkpoint(path) -> Checkpoint:
         meta_line, raw = rest.split(b"\n", 1)
         meta = json.loads(meta_line.decode("utf-8"))
         d, m = int(meta["d"]), int(meta["m"])
-    except (ValueError, KeyError):
+        if d < 1 or m < 1:
+            raise ValueError
+        classes = tuple(meta.get("classes", []))
+        layout = tuple((tag, int(off), int(ln))
+                       for tag, off, ln in meta.get("block_layout", []))
+    except (ValueError, KeyError, TypeError):
         raise ParseError(path, 2, "bad checkpoint metadata") from None
     expected = (d + 1) * (m + 1) * 8
     if len(raw) != expected:
         raise ParseError(path, 2,
                          f"checkpoint payload is {len(raw)} bytes, expected {expected}")
     W_e = np.frombuffer(raw, dtype="<f8").reshape(d + 1, m + 1).copy()
-    layout = tuple((tag, int(off), int(ln))
-                   for tag, off, ln in meta.get("block_layout", []))
-    return Checkpoint(CompatModel(W_e), tuple(meta.get("classes", [])), layout)
-
-
-def save_optimizer_state(path, state) -> None:
-    """Serialize SgdState or AdamState so training can be checkpointed
-    alongside the model."""
-    if isinstance(state, SgdState):
-        meta = {"kind": "sgd", "alpha": state.alpha}
-        payload = b""
-    elif isinstance(state, AdamState):
-        M = np.zeros((0,)) if state.M is None else state.M
-        V = np.zeros((0,)) if state.V is None else state.V
-        meta = {"kind": "adam", "alpha": state.alpha, "beta1": state.beta1,
-                "beta2": state.beta2, "epsilon": state.epsilon, "t": state.t,
-                "shape": list(M.shape)}
-        payload = (np.ascontiguousarray(M, dtype="<f8").tobytes()
-                   + np.ascontiguousarray(V, dtype="<f8").tobytes())
-    else:
-        raise TypeError(f"cannot serialize optimizer state {type(state).__name__}")
-    Path(path).write_bytes(_OPT_STATE_MAGIC
-                           + json.dumps(meta, sort_keys=True).encode("utf-8")
-                           + b"\n" + payload)
-
-
-def load_optimizer_state(path):
-    blob = Path(path).read_bytes()
-    if not blob.startswith(_OPT_STATE_MAGIC):
-        raise ParseError(path, 1, "not an optimizer-state file (bad magic)")
-    try:
-        meta_line, raw = blob[len(_OPT_STATE_MAGIC):].split(b"\n", 1)
-        meta = json.loads(meta_line.decode("utf-8"))
-        kind = meta["kind"]
-    except (ValueError, KeyError):
-        raise ParseError(path, 2, "bad optimizer-state metadata") from None
-    if kind == "sgd":
-        return SgdState(alpha=float(meta["alpha"]))
-    if kind != "adam":
-        raise ParseError(path, 2, f"unknown optimizer kind {kind!r}")
-    shape = tuple(int(s) for s in meta["shape"])
-    count = int(np.prod(shape)) if shape else 0
-    if len(raw) != 2 * count * 8:
-        raise ParseError(path, 2,
-                         f"payload is {len(raw)} bytes, expected {2 * count * 8}")
-    M = np.frombuffer(raw[: count * 8], dtype="<f8").reshape(shape).copy()
-    V = np.frombuffer(raw[count * 8:], dtype="<f8").reshape(shape).copy()
-    return AdamState(alpha=float(meta["alpha"]), beta1=float(meta["beta1"]),
-                     beta2=float(meta["beta2"]), epsilon=float(meta["epsilon"]),
-                     t=int(meta["t"]), M=M, V=V)
+    return Checkpoint(CompatModel(W_e), classes, layout)
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,16 @@
 """Hot training-step kernel: batch scores -> shifted softmax -> summed
-negative log-likelihood and its gradient in the extended parameter space.
-
-Two interchangeable backends:
-
-  numba  @njit-compiled fused loops (default when numba imports)
-  numpy  vectorized fallback
-
-Set ZSLKIT_NO_NUMBA=1 to force the numpy path; individual calls may also pass
-backend= explicitly. Both produce the same values to ~1e-12 (summation order
-differs in the softmax reductions).
-"""
-
-import math
-import os
+negative log-likelihood and its gradient in the extended parameter space."""
 
 import numpy as np
 
-try:
-    import numba
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
+def nll_and_grad(W_e, Phi_e, label_idx, Psi_e):
+    """Summed NLL over a batch and the (d+1)x(m+1) gradient matrix.
 
-ENV_FLAG = "ZSLKIT_NO_NUMBA"
-BACKENDS = ("numba", "numpy")
-
-
-def active_backend() -> str:
-    """Backend used when none is requested explicitly."""
-    if HAS_NUMBA and os.environ.get(ENV_FLAG, "") not in ("1", "true", "yes"):
-        return "numba"
-    return "numpy"
-
-
-def _nll_and_grad_numpy(W_e, Phi_e, label_idx, Psi_e):
+    Phi_e:     (B, d+1) extended image embeddings
+    label_idx: (B,) int64 indices into the training class ordering
+    Psi_e:     (K, m+1) extended class embeddings
+    """
     S = Phi_e @ (W_e @ Psi_e.T)  # (B, K)
     shift = S.max(axis=1, keepdims=True)
     E = np.exp(S - shift)
@@ -45,63 +21,3 @@ def _nll_and_grad_numpy(W_e, Phi_e, label_idx, Psi_e):
     R[rows, label_idx] -= 1.0
     G = Phi_e.T @ (R @ Psi_e)
     return nll, G
-
-
-def _nll_and_grad_loops(W_e, Phi_e, label_idx, Psi_e):
-    B = Phi_e.shape[0]
-    K = Psi_e.shape[0]
-    S = np.dot(Phi_e, np.dot(W_e, Psi_e.T))
-    R = np.empty_like(S)
-    nll = 0.0
-    for i in range(B):
-        mx = S[i, 0]
-        for k in range(1, K):
-            if S[i, k] > mx:
-                mx = S[i, k]
-        z = 0.0
-        for k in range(K):
-            e = math.exp(S[i, k] - mx)
-            R[i, k] = e
-            z += e
-        nll += math.log(z) + mx - S[i, label_idx[i]]
-        inv = 1.0 / z
-        for k in range(K):
-            R[i, k] *= inv
-        R[i, label_idx[i]] -= 1.0
-    G = np.dot(np.ascontiguousarray(Phi_e.T), np.dot(R, Psi_e))
-    return nll, G
-
-
-if HAS_NUMBA:
-    _nll_and_grad_numba = numba.njit(cache=True)(_nll_and_grad_loops)
-
-
-def nll_and_grad(W_e, Phi_e, label_idx, Psi_e, backend: str | None = None):
-    """Summed NLL over a batch and the (d+1)x(m+1) gradient matrix.
-
-    Phi_e:     (B, d+1) extended image embeddings
-    label_idx: (B,) int64 indices into the training class ordering
-    Psi_e:     (K, m+1) extended class embeddings
-    """
-    if backend is None:
-        backend = active_backend()
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    W_e = np.ascontiguousarray(W_e, dtype=np.float64)
-    Phi_e = np.ascontiguousarray(Phi_e, dtype=np.float64)
-    Psi_e = np.ascontiguousarray(Psi_e, dtype=np.float64)
-    label_idx = np.ascontiguousarray(label_idx, dtype=np.int64)
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return _nll_and_grad_numba(W_e, Phi_e, label_idx, Psi_e)
-    return _nll_and_grad_numpy(W_e, Phi_e, label_idx, Psi_e)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed sections exclude compile cost."""
-    if HAS_NUMBA:
-        W = np.zeros((2, 2))
-        Phi = np.ones((1, 2))
-        Psi = np.ones((2, 2))
-        _nll_and_grad_numba(W, Phi, np.zeros(1, dtype=np.int64), Psi)

@@ -79,7 +79,7 @@ def extend_embedding(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v, pad], axis=-1)
 
 
-def _class_matrix(classes) -> np.ndarray:
+def _class_matrix(classes, m: int) -> np.ndarray:
     """Accept a ClassEmbeddingSet or a (K, m) array."""
     matrix = getattr(classes, "matrix", classes)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -87,6 +87,9 @@ def _class_matrix(classes) -> np.ndarray:
         matrix = matrix[None, :]
     if matrix.shape[0] == 0:
         raise EmptyClassSetError("candidate class set is empty")
+    if matrix.shape[1] != m:
+        raise ShapeMismatchError(
+            f"class embeddings have length {matrix.shape[1]}, expected {m}")
     return matrix
 
 
@@ -101,47 +104,24 @@ def score(model: CompatModel, phi: np.ndarray, psi: np.ndarray) -> float:
     return float(phi @ model.W @ psi + model.w_x @ phi + model.w_y @ psi + model.b)
 
 
-def score_all(model: CompatModel, phi: np.ndarray, classes) -> np.ndarray:
-    """Scores of one image against every candidate, via the extended product."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (model.d,):
-        raise ShapeMismatchError(f"phi has shape {phi.shape}, expected ({model.d},)")
-    Psi = _class_matrix(classes)
-    if Psi.shape[1] != model.m:
-        raise ShapeMismatchError(
-            f"class embeddings have length {Psi.shape[1]}, expected {model.m}")
-    return extend_embedding(phi) @ model.W_e @ extend_embedding(Psi).T
-
-
 def score_matrix(model: CompatModel, Phi: np.ndarray, classes) -> np.ndarray:
     """(B, K) score matrix for a stack of image embeddings."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[1] != model.d:
         raise ShapeMismatchError(
             f"Phi has shape {Phi.shape}, expected (n, {model.d})")
-    Psi = _class_matrix(classes)
-    if Psi.shape[1] != model.m:
-        raise ShapeMismatchError(
-            f"class embeddings have length {Psi.shape[1]}, expected {model.m}")
+    Psi = _class_matrix(classes, model.m)
     return extend_embedding(Phi) @ model.W_e @ extend_embedding(Psi).T
 
 
-def posterior(scores: np.ndarray) -> np.ndarray:
-    """Softmax with max subtraction; mathematically the plain softmax, but
-    safe for large scores."""
-    scores = np.asarray(scores, dtype=np.float64)
-    e = np.exp(scores - scores.max())
-    return e / e.sum()
-
-
-def _check_batch(model, Phi, labels, Psi):
+def _check_batch(model, Phi, labels, classes):
+    """Validate a training batch; return the extended (Phi_e, labels, Psi_e)
+    that the kernel takes."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[1] != model.d:
         raise ShapeMismatchError(
             f"batch features have shape {Phi.shape}, expected (n, {model.d})")
-    if Psi.shape[1] != model.m:
-        raise ShapeMismatchError(
-            f"class embeddings have length {Psi.shape[1]}, expected {model.m}")
+    Psi = _class_matrix(classes, model.m)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (Phi.shape[0],):
         raise ShapeMismatchError(
@@ -151,32 +131,28 @@ def _check_batch(model, Phi, labels, Psi):
         raise UnseenLabelError(
             f"label index(es) {labels[bad].tolist()} outside the "
             f"{Psi.shape[0]}-class training set")
-    return Phi, labels
+    return extend_embedding(Phi), labels, extend_embedding(Psi)
 
 
 def nll(model: CompatModel, Phi: np.ndarray, labels: np.ndarray, classes) -> float:
     """Summed negative log-likelihood of a batch under the softmax posterior
     over the given training classes. Labels are indices into that ordering."""
-    Psi = _class_matrix(classes)
-    Phi, labels = _check_batch(model, Phi, labels, Psi)
-    S = score_matrix(model, Phi, Psi)
-    shift = S.max(axis=1)
-    logz = np.log(np.exp(S - shift[:, None]).sum(axis=1)) + shift
-    return float(np.sum(logz - S[np.arange(S.shape[0]), labels]))
+    Phi_e, labels, Psi_e = _check_batch(model, Phi, labels, classes)
+    return kernels.nll_and_grad(model.W_e, Phi_e, labels, Psi_e)[0]
 
 
-def gradient(model: CompatModel, Phi: np.ndarray, labels: np.ndarray, classes,
-             backend: str | None = None) -> np.ndarray:
+def gradient(model: CompatModel, Phi: np.ndarray, labels: np.ndarray,
+             classes) -> np.ndarray:
     """Gradient of the batch NLL with respect to W_e: the per-sample outer
     product of the extended image embedding with (posterior-weighted mean
     class embedding minus the true class embedding), summed over the batch."""
-    Psi = _class_matrix(classes)
-    Phi, labels = _check_batch(model, Phi, labels, Psi)
-    _, G = kernels.nll_and_grad(model.W_e, extend_embedding(Phi), labels,
-                                extend_embedding(Psi), backend=backend)
-    return G
+    Phi_e, labels, Psi_e = _check_batch(model, Phi, labels, classes)
+    return kernels.nll_and_grad(model.W_e, Phi_e, labels, Psi_e)[1]
 
 
 def predict(model: CompatModel, phi: np.ndarray, classes) -> int:
     """Index of the highest-scoring candidate; ties go to the lowest index."""
-    return int(np.argmax(score_all(model, phi, classes)))
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape != (model.d,):
+        raise ShapeMismatchError(f"phi has shape {phi.shape}, expected ({model.d},)")
+    return int(np.argmax(score_matrix(model, phi[None, :], classes)))

@@ -40,7 +40,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     use_wx: bool = True
     use_wy: bool = True
-    backend: str | None = None  # kernel backend override
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -180,8 +179,7 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
 
     for t in range(1, config.max_iterations + 1):
         batch = pool[batch_rng.integers(0, len(pool), size=config.batch_size)]
-        batch_nll, G = kernels.nll_and_grad(W_e, Phi_e[batch], label_idx[batch],
-                                            Psi_e, backend=config.backend)
+        batch_nll, G = kernels.nll_and_grad(W_e, Phi_e[batch], label_idx[batch], Psi_e)
         G *= mask
         if config.optimizer == "adam":
             W_e, opt_state = adam_step(opt_state, W_e, G)

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from synthdata import block_signal_problem, write_experiment_files
 from zslkit import io
 from zslkit.cli import main
 from zslkit.evaluate import ClassSplits
+from zslkit.model import CompatModel
 
 
 @pytest.fixture()
@@ -167,3 +170,107 @@ class TestUsageErrors:
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.txt")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def eval_args(tmp, config):
+    """Embeddings on disk plus a zero checkpoint for them; returns eval argv."""
+    assert main(["embed", "--config", str(config)]) == 0
+    embeddings = io.load_class_embeddings(tmp / "embeddings.txt")
+    splits = io.load_splits(tmp / "splits.txt")
+    d = io.load_features(tmp / "features.txt").d
+    io.save_checkpoint(tmp / "model.ckpt", CompatModel.zeros(d, embeddings.m),
+                       splits.seen, embeddings.block_layout)
+    return ["eval", "--config", str(config),
+            "--set", "embeddings=" + str(tmp / "embeddings.txt"),
+            "--set", "checkpoint=" + str(tmp / "model.ckpt")]
+
+
+def replace_first_line(path, line):
+    rest = path.read_text().split("\n", 1)[1]
+    path.write_text(line + "\n" + rest)
+
+
+def corrupt_labels_encoding(tmp):
+    lines = (tmp / "labels.tsv").read_bytes().split(b"\n")
+    lines[2] = b"\xff\xfe" + lines[2]
+    (tmp / "labels.tsv").write_bytes(b"\n".join(lines))
+    return "labels.tsv:3:"
+
+
+def negative_feature_dimension(tmp):
+    replace_first_line(tmp / "features.txt", "d=-1 n=120 normalized=1")
+    return "features.txt:1:"
+
+
+def negative_embedding_dimension(tmp):
+    replace_first_line(tmp / "embeddings.txt", "m=-1 n=10")
+    return "embeddings.txt:1:"
+
+
+def rewrite_checkpoint_meta(tmp, edit, payload_bytes=None):
+    magic, meta, raw = (tmp / "model.ckpt").read_bytes().split(b"\n", 2)
+    meta = json.dumps(edit(json.loads(meta))).encode()
+    (tmp / "model.ckpt").write_bytes(magic + b"\n" + meta + b"\n" + raw[:payload_bytes])
+    return "model.ckpt:2:"
+
+
+def checkpoint_meta_not_object(tmp):
+    return rewrite_checkpoint_meta(tmp, lambda meta: [meta["d"], meta["m"]])
+
+
+def checkpoint_meta_bad_layout(tmp):
+    return rewrite_checkpoint_meta(tmp, lambda meta: {**meta, "block_layout": 7})
+
+
+def checkpoint_meta_negative_shape(tmp):
+    # (d+1)(m+1) = 4 float64 values, so the payload length alone looks right
+    return rewrite_checkpoint_meta(tmp, lambda meta: {**meta, "d": -3, "m": -3},
+                                   payload_bytes=32)
+
+
+class TestMalformedInputs:
+    """Each malformed file ends the command with exit 1 and one error line
+    naming the file and line, never a traceback."""
+
+    @pytest.mark.parametrize("corrupt", [
+        corrupt_labels_encoding, negative_feature_dimension,
+        negative_embedding_dimension, checkpoint_meta_not_object,
+        checkpoint_meta_bad_layout, checkpoint_meta_negative_shape])
+    def test_single_error_line(self, experiment, capsys, corrupt):
+        tmp, config = experiment
+        argv = eval_args(tmp, config)
+        where = corrupt(tmp)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert where in err[0]
+
+    def test_ablate_rejects_zero_repeats(self, experiment, capsys):
+        _, config = experiment
+        assert main(["ablate", "--config", str(config), "--grid", "linear",
+                     "--set", "repeats=0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: repeats must be >= 1, got 0"]
+
+
+class TestLayoutMismatch:
+    """A checkpoint trained on one block layout must not score embeddings of
+    another layout with the same total length."""
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_refused_naming_both_layouts(self, experiment, capsys, command):
+        tmp, config = experiment
+        argv = eval_args(tmp, config)
+        argv[0] = command
+        checkpoint = io.load_checkpoint(tmp / "model.ckpt")
+        m = checkpoint.model.m
+        io.save_checkpoint(tmp / "model.ckpt", checkpoint.model, checkpoint.classes,
+                           (("word", 0, m),))
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"word:0:{m}" in err[0]
+        assert "attribute:0:" in err[0]

@@ -210,39 +210,6 @@ class TestCheckpoint:
             io.load_checkpoint(p)
 
 
-class TestOptimizerState:
-    def test_adam_round_trip_continues_identically(self, tmp_path):
-        from zslkit.optim import AdamState, adam_step
-
-        rng = np.random.default_rng(5)
-        params = rng.normal(size=(3, 4))
-        state = AdamState.for_shape((3, 4), alpha=0.05)
-        for _ in range(4):
-            params, state = adam_step(state, params, rng.normal(size=(3, 4)))
-        p = tmp_path / "opt.bin"
-        io.save_optimizer_state(p, state)
-        back = io.load_optimizer_state(p)
-        assert back.t == state.t
-        assert back.M.tobytes() == state.M.tobytes()
-        assert back.V.tobytes() == state.V.tobytes()
-        G = rng.normal(size=(3, 4))
-        a, _ = adam_step(state, params, G)
-        b, _ = adam_step(back, params, G)
-        assert a.tobytes() == b.tobytes()
-
-    def test_sgd_round_trip(self, tmp_path):
-        from zslkit.optim import SgdState
-
-        io.save_optimizer_state(tmp_path / "o.bin", SgdState(alpha=0.25))
-        assert io.load_optimizer_state(tmp_path / "o.bin") == SgdState(alpha=0.25)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "o.bin"
-        p.write_bytes(b"garbage")
-        with pytest.raises(ParseError, match="magic"):
-            io.load_optimizer_state(p)
-
-
 class TestConfig:
     def test_parse_types(self, tmp_path):
         p = tmp_path / "c.txt"

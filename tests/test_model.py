@@ -2,23 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from zslkit import kernels
 from zslkit.errors import EmptyClassSetError, ShapeMismatchError, UnseenLabelError
 from zslkit.model import (
     CompatModel,
     extend_embedding,
     gradient,
     nll,
-    posterior,
     predict,
     score,
-    score_all,
     score_matrix,
 )
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
 
 
 def random_instance(rng, d=5, m=4, n_classes=3, batch=6):
@@ -109,62 +103,36 @@ class TestScore:
 
 
 class TestScoreAll:
+    """One image against every candidate: score_matrix on a one-row stack."""
+
     def test_single_class(self):
         rng = np.random.default_rng(3)
         model, phi, psi = CompatModel(rng.normal(size=(3, 3))), rng.normal(size=2), rng.normal(size=2)
-        out = score_all(model, phi, psi[None, :])
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(score(model, phi, psi), abs=1e-12)
+        out = score_matrix(model, phi[None, :], psi[None, :])
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(score(model, phi, psi), abs=1e-12)
 
     def test_duplicated_class(self):
         rng = np.random.default_rng(4)
         model = CompatModel(rng.normal(size=(3, 3)))
         phi = rng.normal(size=2)
         psi = rng.normal(size=2)
-        out = score_all(model, phi, np.vstack([psi, psi]))
-        assert out[0] == out[1]
+        out = score_matrix(model, phi[None, :], np.vstack([psi, psi]))
+        assert out[0, 0] == out[0, 1]
 
     def test_elementwise_oracle(self):
         rng = np.random.default_rng(5)
         model = CompatModel(rng.normal(size=(4, 6)))
         phi = rng.normal(size=3)
         Psi = rng.normal(size=(4, 5))
-        out = score_all(model, phi, Psi)
+        out = score_matrix(model, phi[None, :], Psi)[0]
         for i in range(4):
             assert out[i] == pytest.approx(score(model, phi, Psi[i]), abs=1e-12)
 
     def test_empty_class_set(self):
         model = CompatModel(np.zeros((3, 3)))
         with pytest.raises(EmptyClassSetError):
-            score_all(model, np.zeros(2), np.empty((0, 2)))
-
-
-class TestPosterior:
-    def test_equal_scores_uniform(self):
-        np.testing.assert_allclose(posterior(np.array([7.0, 7.0, 7.0])),
-                                   [1 / 3, 1 / 3, 1 / 3])
-
-    def test_large_scores_no_overflow(self):
-        with np.errstate(over="raise"):
-            p = posterior(np.array([1000.0, 0.0]))
-        assert p[0] == pytest.approx(1.0)
-        assert p[1] == pytest.approx(0.0, abs=1e-300)
-
-    def test_hand_softmax(self):
-        p = posterior(np.array([math.log(1.0), math.log(3.0)]))
-        np.testing.assert_allclose(p, [0.25, 0.75], atol=1e-12)
-
-    @given(st.lists(st.floats(min_value=-500, max_value=500, allow_nan=False),
-                    min_size=1, max_size=8))
-    def test_sums_to_one(self, scores):
-        p = posterior(np.array(scores))
-        assert abs(p.sum() - 1.0) < 1e-12
-        assert np.all(p >= 0)
-
-    @given(st.floats(min_value=-100, max_value=100, allow_nan=False))
-    def test_shift_invariance(self, c):
-        s = np.array([0.3, -1.2, 4.0])
-        np.testing.assert_allclose(posterior(s + c), posterior(s), atol=1e-12)
+            score_matrix(model, np.zeros((1, 2)), np.empty((0, 2)))
 
 
 class TestNll:
@@ -215,12 +183,11 @@ class TestGradient:
         expected = -0.5 * np.outer(phi, Psi[0] - Psi[1])
         np.testing.assert_allclose(G[:2, :2], expected, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_finite_difference_oracle(self, backend):
+    def test_finite_difference_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             model, Phi, labels, Psi = random_instance(rng)
-            G = gradient(model, Phi, labels, Psi, backend=backend)
+            G = gradient(model, Phi, labels, Psi)
             fd = np.zeros_like(G)
             eps = 1e-5
             for i in range(G.shape[0]):
@@ -276,7 +243,7 @@ class TestPredict:
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(12)
         model, Phi, _, Psi = random_instance(rng)
-        s = score_all(model, Phi[0], Psi)
+        s = score_matrix(model, Phi[:1], Psi)[0]
         base = predict(model, Phi[0], Psi)
         for a, c in [(2.0, 0.0), (0.5, 3.0), (10.0, -7.0)]:
             assert int(np.argmax(a * s + c)) == base
@@ -288,10 +255,11 @@ class TestPredict:
 
 
 class TestScoreMatrix:
-    def test_matches_score_all_rows(self):
+    def test_every_entry_matches_score(self):
         rng = np.random.default_rng(13)
         model, Phi, _, Psi = random_instance(rng, batch=4)
         S = score_matrix(model, Phi, Psi)
         for i in range(4):
-            np.testing.assert_allclose(S[i], score_all(model, Phi[i], Psi),
-                                       atol=1e-12)
+            for k in range(len(Psi)):
+                assert S[i, k] == pytest.approx(score(model, Phi[i], Psi[k]),
+                                                abs=1e-12)
