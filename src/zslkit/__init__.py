@@ -40,7 +40,7 @@ from .model import (
     score,
     score_matrix,
 )
-from .optim import AdamState, SgdState, adam_step, sgd_step
+from .optim import AdamState, SgdState, adam_step, adam_update, sgd_step
 from .train import (
     EvalRecord,
     TrainConfig,

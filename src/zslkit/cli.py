@@ -100,11 +100,9 @@ def _checkpoint_model(cfg: dict, embeddings):
     """The checkpoint's model, refused unless it was trained on embeddings
     with the same block layout as the ones it is about to score."""
     checkpoint = io.load_checkpoint(cfg["checkpoint"])
-    if checkpoint.block_layout != embeddings.block_layout:
-        raise AlignmentError(
-            f"checkpoint {cfg['checkpoint']} was trained on embedding layout "
-            f"{io._fmt_layout(checkpoint.block_layout)!r} but the class "
-            f"embeddings have layout {io._fmt_layout(embeddings.block_layout)!r}")
+    mismatch = io.layout_mismatch(cfg["checkpoint"], checkpoint, embeddings)
+    if mismatch:
+        raise AlignmentError(mismatch)
     return checkpoint.model
 
 

@@ -67,5 +67,10 @@ class ParseError(ZslError):
         self.line = line
 
 
+class DivergenceError(ZslError):
+    """Training produced a non-finite loss or parameters; the message names
+    the iteration."""
+
+
 class ConfigError(ZslError):
     """An experiment config contains unknown keys or unparseable values."""

@@ -133,18 +133,10 @@ def normalized_accuracy(predictions: Sequence[str], labels: Sequence[str]) -> Ev
             f"{len(predictions)} predictions vs {len(labels)} labels")
     if not labels:
         raise AlignmentError("cannot score an empty evaluation set")
-    totals: Counter = Counter()
-    correct: Counter = Counter()
-    confusion: Counter = Counter()
-    class_order: list[str] = []
-    for pred, true in zip(predictions, labels):
-        if true not in totals:
-            class_order.append(true)
-        totals[true] += 1
-        if pred == true:
-            correct[true] += 1
-        confusion[(true, pred)] += 1
-    per_class = {c: correct[c] / totals[c] for c in class_order}
+    # Counters keep first-appearance order, which fixes both dicts' key order.
+    totals = Counter(labels)
+    confusion = Counter(zip(labels, predictions))
+    per_class = {c: confusion[(c, c)] / n for c, n in totals.items()}
     mean = float(np.mean(list(per_class.values())))
     return EvalResult(mean, per_class, dict(confusion))
 

@@ -94,6 +94,14 @@ def _write_pairs(path, pairs: Mapping[str, str]) -> None:
     _write_lines(path, (f"{k}\t{v}" for k, v in pairs.items()))
 
 
+def _require_finite(path, matrix: np.ndarray, row_lines) -> None:
+    """Refuse nan and inf values, naming the first row's line that has one."""
+    finite_rows = np.isfinite(matrix).all(axis=1)
+    if not finite_rows.all():
+        raise ParseError(path, row_lines[int(np.argmin(finite_rows))],
+                         "non-finite value (nan or inf)")
+
+
 # ---------------------------------------------------------------------------
 # feature matrices
 # ---------------------------------------------------------------------------
@@ -155,6 +163,7 @@ def load_features(path, l2_normalize: bool = False) -> FeatureSet:
     if len(ids) != n:
         raise ParseError(path, header_no,
                          f"header declares n={n} but file has {len(ids)} rows")
+    _require_finite(path, rows, row_lines)
     if normalized:
         norms = np.linalg.norm(rows, axis=1)
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
@@ -264,6 +273,7 @@ def load_word_vectors(path) -> WordVectorTable:
             vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError:
             raise ParseError(path, no, "non-numeric vector value") from None
+        _require_finite(path, vec[None, :], [no])
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
@@ -380,6 +390,7 @@ def load_class_embeddings(path) -> ClassEmbeddingSet:
         except ValueError:
             raise ParseError(path, h2_no, f"bad block spec {item!r}") from None
     names: list[str] = []
+    row_lines: list[int] = []
     matrix = np.empty((len(lines) - 2, m), dtype=np.float64)
     for r, (no, line) in enumerate(lines[2:]):
         parts = line.split("\t")
@@ -389,6 +400,7 @@ def load_class_embeddings(path) -> ClassEmbeddingSet:
         if len(values) != m:
             raise ParseError(path, no, f"expected {m} values, got {len(values)}")
         names.append(parts[0])
+        row_lines.append(no)
         try:
             matrix[r] = [float(v) for v in values]
         except ValueError:
@@ -396,6 +408,7 @@ def load_class_embeddings(path) -> ClassEmbeddingSet:
     if len(names) != n:
         raise ParseError(path, h1_no,
                          f"header declares n={n} but file has {len(names)} rows")
+    _require_finite(path, matrix, row_lines)
     return ClassEmbeddingSet(tuple(names), matrix, tuple(layout))
 
 
@@ -429,6 +442,17 @@ def save_checkpoint(path, model: CompatModel, classes, block_layout) -> None:
             + json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n"
             + np.ascontiguousarray(model.W_e, dtype="<f8").tobytes())
     Path(path).write_bytes(blob)
+
+
+def layout_mismatch(checkpoint_path, checkpoint: Checkpoint,
+                    embeddings: ClassEmbeddingSet) -> str | None:
+    """Why the checkpoint must not score these embeddings, or None when it
+    was trained on the same embedding block layout."""
+    if checkpoint.block_layout == embeddings.block_layout:
+        return None
+    return (f"checkpoint {checkpoint_path} was trained on embedding layout "
+            f"{_fmt_layout(checkpoint.block_layout)!r} but the class "
+            f"embeddings have layout {_fmt_layout(embeddings.block_layout)!r}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -604,4 +628,8 @@ def validate_experiment(config: Mapping) -> ValidationReport:
         if embeddings is not None and embeddings.m != checkpoint.model.m:
             violations.append(
                 f"embedding dimension m={embeddings.m} != checkpoint m={checkpoint.model.m}")
+        elif embeddings is not None:
+            mismatch = layout_mismatch(config["checkpoint"], checkpoint, embeddings)
+            if mismatch:
+                violations.append(mismatch)
     return ValidationReport(violations)

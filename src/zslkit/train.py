@@ -9,16 +9,24 @@ accuracy on a disjoint validation class split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .embeddings import ClassEmbeddingSet
-from .errors import ConfigError, IncompleteCoverageError, SplitViolationError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    IncompleteCoverageError,
+    SplitViolationError,
+)
 from .evaluate import SplitDataset, evaluate_zsl
 from .model import CompatModel, extend_embedding
-from .optim import AdamState, SgdState, adam_step, sgd_step
+from .optim import AdamState, SgdState, sgd_step
+# The benchmark's tracer times the optimizer step at `train.adam_step`.
+from .optim import adam_update as adam_step
 from .rng import component_rng
 
 INIT_SCHEMES = ("glorot_uniform", "zeros")
@@ -177,24 +185,38 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     best_accuracy = -1.0
     best_W_e = W_e.copy()
 
-    for t in range(1, config.max_iterations + 1):
-        batch = pool[batch_rng.integers(0, len(pool), size=config.batch_size)]
-        batch_nll, G = kernels.nll_and_grad(W_e, Phi_e[batch], label_idx[batch], Psi_e)
-        G *= mask
-        if config.optimizer == "adam":
-            W_e, opt_state = adam_step(opt_state, W_e, G)
-        else:
-            W_e = sgd_step(opt_state, W_e, G)
+    # Overflow is reported below as a DivergenceError naming the iteration,
+    # so numpy's floating-point warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.max_iterations + 1):
+            batch = pool[batch_rng.integers(0, len(pool), size=config.batch_size)]
+            batch_nll, G = kernels.nll_and_grad(W_e, Phi_e[batch], label_idx[batch], Psi_e)
+            if not math.isfinite(batch_nll):
+                raise DivergenceError(
+                    f"training diverged at iteration {t}: batch NLL is {batch_nll!r}")
+            # Same result as G *= mask, including the -0.0 signs, without the
+            # full-matrix pass.
+            if not config.use_wx:
+                G[:d, m] *= 0.0
+            if not config.use_wy:
+                G[d, :m] *= 0.0
+            if config.optimizer == "adam":
+                adam_step(opt_state, W_e, G)  # in place: W_e and the moments
+            else:
+                W_e = sgd_step(opt_state, W_e, G)
 
-        if t % config.eval_every == 0:
-            snapshot = CompatModel(W_e.copy())
-            acc = evaluate_zsl(snapshot, dataset, embeddings,
-                               "zsl_validation").normalized_accuracy
-            records.append(EvalRecord(t, batch_nll, acc))
-            if acc > best_accuracy:
-                best_accuracy = acc
-                best_iteration = t
-                best_W_e = snapshot.W_e
+            if t % config.eval_every == 0:
+                if not np.isfinite(W_e).all():
+                    raise DivergenceError(
+                        f"training diverged at iteration {t}: parameters are not finite")
+                snapshot = CompatModel(W_e.copy())
+                acc = evaluate_zsl(snapshot, dataset, embeddings,
+                                   "zsl_validation").normalized_accuracy
+                records.append(EvalRecord(t, batch_nll, acc))
+                if acc > best_accuracy:
+                    best_accuracy = acc
+                    best_iteration = t
+                    best_W_e = snapshot.W_e
 
     return TrainReport(records, best_iteration, best_accuracy,
                        CompatModel(best_W_e))

@@ -207,6 +207,14 @@ def negative_embedding_dimension(tmp):
     return "embeddings.txt:1:"
 
 
+def nan_feature_value(tmp):
+    lines = (tmp / "features.txt").read_text().split("\n")
+    row = lines[4].split(" ")
+    lines[4] = " ".join(row[:2] + ["nan"] + row[3:])
+    (tmp / "features.txt").write_text("\n".join(lines))
+    return "features.txt:5:"
+
+
 def rewrite_checkpoint_meta(tmp, edit, payload_bytes=None):
     magic, meta, raw = (tmp / "model.ckpt").read_bytes().split(b"\n", 2)
     meta = json.dumps(edit(json.loads(meta))).encode()
@@ -234,7 +242,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("corrupt", [
         corrupt_labels_encoding, negative_feature_dimension,
-        negative_embedding_dimension, checkpoint_meta_not_object,
+        negative_embedding_dimension, nan_feature_value, checkpoint_meta_not_object,
         checkpoint_meta_bad_layout, checkpoint_meta_negative_shape])
     def test_single_error_line(self, experiment, capsys, corrupt):
         tmp, config = experiment
@@ -245,6 +253,16 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert where in err[0]
+
+    def test_train_divergence_names_iteration(self, experiment, capsys):
+        _, config = experiment
+        assert main(["train", "--config", str(config),
+                     "--set", "learning_rate=1e307"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: training diverged at iteration ")
 
     def test_ablate_rejects_zero_repeats(self, experiment, capsys):
         _, config = experiment
@@ -274,3 +292,17 @@ class TestLayoutMismatch:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"word:0:{m}" in err[0]
         assert "attribute:0:" in err[0]
+
+    def test_validate_reports_it(self, experiment, capsys):
+        tmp, config = experiment
+        argv = eval_args(tmp, config)
+        argv[0] = "validate"
+        checkpoint = io.load_checkpoint(tmp / "model.ckpt")
+        m = checkpoint.model.m
+        io.save_checkpoint(tmp / "model.ckpt", checkpoint.model, checkpoint.classes,
+                           (("word", 0, m),))
+        capsys.readouterr()
+        assert main(argv) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert f"word:0:{m}" in out[0] and "attribute:0:" in out[0]

@@ -52,6 +52,15 @@ class TestNormalizedAccuracy:
         result = normalized_accuracy(preds, labels)
         assert result.confusion == {("A", "A"): 1, ("A", "B"): 1, ("B", "B"): 1}
 
+    def test_dict_keys_in_first_appearance_order(self):
+        labels = ["B", "A", "B", "C", "A"]
+        preds = ["A", "A", "B", "B", "C"]
+        result = normalized_accuracy(preds, labels)
+        assert list(result.per_class_accuracy) == ["B", "A", "C"]
+        assert list(result.confusion) == [("B", "A"), ("A", "A"), ("B", "B"),
+                                          ("C", "B"), ("A", "C")]
+        assert result.per_class_accuracy == {"B": 0.5, "A": 0.5, "C": 0.0}
+
     def test_alignment_errors(self):
         with pytest.raises(AlignmentError):
             normalized_accuracy(["A"], ["A", "B"])

@@ -82,6 +82,34 @@ class TestFeatures:
             io.load_features(p)
 
 
+class TestNonFiniteValues:
+    """nan and inf parse as floats; every numeric loader refuses them with
+    the path and the line of the first offending row."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_features(self, tmp_path, token):
+        p = tmp_path / "f.txt"
+        p.write_text(f"d=2 n=3 normalized=0\na 1.0 2.0\nb 3.0 {token}\n"
+                     "c nan 1.0\n")
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            io.load_features(p)
+        assert (exc.value.path, exc.value.line) == (str(p), 3)
+
+    def test_word_vectors(self, tmp_path):
+        p = tmp_path / "w.txt"
+        p.write_text("oak 1.0 2.0\nfir -inf 1.0\n")
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            io.load_word_vectors(p)
+        assert (exc.value.path, exc.value.line) == (str(p), 2)
+
+    def test_class_embeddings(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("m=2 n=2\nblocks=word:0:2\n\nA\t1.0 2.0\nB\t2.0 nan\n")
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            io.load_class_embeddings(p)
+        assert (exc.value.path, exc.value.line) == (str(p), 5)
+
+
 class TestLabelsAndSplits:
     def test_labels_round_trip(self, tmp_path):
         labels = {"i1": "Scarlet Oak", "i2": "Kousa Dogwood"}

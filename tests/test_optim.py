@@ -5,6 +5,7 @@ import pytest
 
 from zslkit.errors import ShapeMismatchError
 from zslkit.optim import AdamState, SgdState, adam_step, sgd_step
+from zslkit.optim import ADAM_BLOCK, adam_update
 
 
 def adam_reference(alpha, beta1, beta2, eps, params, grads):
@@ -140,3 +141,56 @@ class TestAdam:
                                np.full((2, 2), 2.0))
         assert state.M.shape == (2, 2)
         assert state.t == 1
+
+
+# One block; several blocks with a ragged last one; rows wider than a block.
+BLOCK_SHAPES = [(3, 4), (5, 2 * ADAM_BLOCK // 5 + 7), (2, ADAM_BLOCK + 3)]
+
+
+class TestAdamUpdate:
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_bit_identical_to_adam_step(self, shape):
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=shape)
+        ref_p, ref = params, AdamState.for_shape(shape, alpha=0.02)
+        p, state = params.copy(), AdamState.for_shape(shape, alpha=0.02)
+        for _ in range(4):
+            G = rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 4))
+            ref_p, ref = adam_step(ref, ref_p, G)
+            assert adam_update(state, p, G) is None
+        np.testing.assert_array_equal(p, ref_p)
+        np.testing.assert_array_equal(state.M, ref.M)
+        np.testing.assert_array_equal(state.V, ref.V)
+        assert state.t == ref.t == 4
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_bit_identical_to_reference(self, shape):
+        rng = np.random.default_rng(6)
+        params = rng.normal(size=shape)
+        grads = [rng.normal(size=shape) for _ in range(3)]
+        p, state = params.copy(), AdamState.for_shape(shape, alpha=0.05)
+        for G in grads:
+            adam_update(state, p, G)
+        np.testing.assert_array_equal(
+            p, adam_reference(0.05, 0.9, 0.999, 1e-8, params, grads))
+
+    def test_lazy_moment_allocation(self):
+        state = AdamState(alpha=0.1)
+        params = np.zeros((2, 2))
+        adam_update(state, params, np.full((2, 2), 2.0))
+        assert state.M.shape == (2, 2)
+        assert state.t == 1
+        np.testing.assert_allclose(params, -0.1, rtol=1e-6)
+
+    def test_rejects_bad_shapes_and_layouts(self):
+        with pytest.raises(ShapeMismatchError):
+            adam_update(AdamState.for_shape((2, 2)), np.zeros((3, 3)),
+                        np.zeros((3, 3)))
+        with pytest.raises(ShapeMismatchError):
+            adam_update(AdamState.for_shape((2, 2)), np.zeros((2, 2)),
+                        np.zeros((4, 4)))
+        # a strided view cannot be updated through its flat blocks
+        state = AdamState.for_shape((2, 2))
+        with pytest.raises(ValueError):
+            adam_update(state, np.zeros((2, 4))[:, ::2], np.zeros((2, 2)))
+        assert state.t == 0

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from synthdata import linear_problem
+from zslkit import kernels
 from zslkit.embeddings import ClassEmbeddingSet
 from zslkit.errors import (
     ConfigError,
+    DivergenceError,
     IncompleteCoverageError,
     SplitViolationError,
 )
 from zslkit.evaluate import ClassSplits, SplitDataset, evaluate_zsl
+from zslkit.model import extend_embedding
+from zslkit.optim import AdamState, adam_step
 from zslkit.rng import component_rng
 from zslkit.train import TrainConfig, init_model, oversample_indices, train
 
@@ -209,3 +213,68 @@ class TestTrain:
                           seed=0, learning_rate=3e-3)
         report = train(dataset, embeddings, cfg)
         assert report.best_accuracy > 0.9
+
+
+def reference_training_run(dataset, embeddings, cfg):
+    """The Adam loop of train() with the functional adam_step and a full
+    mask product, returning W_e after the last iteration."""
+    _, X, labels = dataset.subset("seen")
+    classes = dataset.splits.seen
+    label_idx = np.asarray([classes.index(l) for l in labels])
+    Phi_e = extend_embedding(X)
+    Psi_e = extend_embedding(embeddings.select(classes))
+    d, m = dataset.d, embeddings.m
+    mask = np.ones((d + 1, m + 1))
+    if not cfg.use_wx:
+        mask[:d, m] = 0.0
+    if not cfg.use_wy:
+        mask[d, :m] = 0.0
+    W_e = init_model(d, m, cfg.init_scheme, cfg.seed).W_e * mask
+    pool = oversample_indices(labels, cfg.seed)
+    batch_rng = component_rng(cfg.seed, "batch")
+    state = AdamState.for_shape(W_e.shape, alpha=cfg.learning_rate)
+    for _ in range(cfg.max_iterations):
+        batch = pool[batch_rng.integers(0, len(pool), size=cfg.batch_size)]
+        _, G = kernels.nll_and_grad(W_e, Phi_e[batch], label_idx[batch], Psi_e)
+        G *= mask
+        W_e, state = adam_step(state, W_e, G)
+    return W_e
+
+
+class TestInPlaceTraining:
+    @pytest.mark.parametrize("use_wx,use_wy", [(False, False), (True, False),
+                                               (False, True), (True, True)])
+    # W_e of 4 x 5 fits one Adam block; 256 x 161 spans two.
+    @pytest.mark.parametrize("d,m", [(3, 4), (255, 160)])
+    def test_matches_functional_reference(self, use_wx, use_wy, d, m):
+        dataset, embeddings = tiny_problem(seed=12, d=d, m=m)
+        # one record at the last iteration, so the report holds the final W_e
+        cfg = TrainConfig(batch_size=4, max_iterations=15, eval_every=15,
+                          seed=6, learning_rate=0.05,
+                          use_wx=use_wx, use_wy=use_wy)
+        report = train(dataset, embeddings, cfg)
+        expected = reference_training_run(dataset, embeddings, cfg)
+        assert report.model.W_e.tobytes() == expected.tobytes()
+
+
+class TestDivergence:
+    def test_overflowing_learning_rate_names_iteration(self):
+        # Adam moves each entry by about 1e307 per step, so the scores of
+        # iteration 3 overflow and its batch NLL is not finite.
+        dataset, embeddings = tiny_problem(seed=13)
+        cfg = TrainConfig(batch_size=4, max_iterations=10, eval_every=10,
+                          seed=0, learning_rate=1e307)
+        with pytest.raises(DivergenceError,
+                           match=r"^training diverged at iteration 3: batch NLL"):
+            train(dataset, embeddings, cfg)
+
+    def test_overflowing_update_caught_at_snapshot(self):
+        # From zeros the first batch NLL is finite, but the first SGD step
+        # overflows W_e before the snapshot of iteration 1.
+        dataset, embeddings = tiny_problem(seed=13)
+        cfg = TrainConfig(batch_size=4, max_iterations=10, eval_every=1,
+                          seed=0, optimizer="sgd", init_scheme="zeros",
+                          learning_rate=1e308)
+        with pytest.raises(DivergenceError,
+                           match=r"^training diverged at iteration 1: parameters"):
+            train(dataset, embeddings, cfg)
