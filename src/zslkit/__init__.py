@@ -5,7 +5,6 @@ from .embeddings import (
     SOURCE_ORDER,
     AttributeAssignment,
     AttributeSchema,
-    ClassEmbedding,
     ClassEmbeddingSet,
     EmbeddingSources,
     TaxonomyNode,

@@ -24,8 +24,9 @@ from .train import TrainConfig, train
 
 
 def _load_cfg(args) -> dict:
+    """The config file with --set and --seed applied; relative paths, from
+    the file or from --set, resolve against the config file's directory."""
     cfg = io.load_config(args.config)
-    cfg = io.resolve_config_paths(cfg, Path(args.config).parent)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -33,7 +34,7 @@ def _load_cfg(args) -> dict:
         cfg[key.strip()] = io.parse_config_entry(key.strip(), raw.strip())
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    return cfg
+    return io.resolve_config_paths(cfg, Path(args.config).parent)
 
 
 def _require(cfg: dict, keys, command: str) -> None:

@@ -203,9 +203,6 @@ class TaxonomyTree:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
 
-    def label(self, node_id: str) -> str:
-        return self._nodes[node_id].label
-
     def parent(self, node_id: str) -> str | None:
         return self._nodes[node_id].parent
 
@@ -281,15 +278,6 @@ def encode_words(table: WordVectorTable, common_name: str,
 
 
 @dataclass(frozen=True)
-class ClassEmbedding:
-    """Embedding vector of one class plus the (source, offset, length) layout."""
-
-    class_name: str
-    vector: np.ndarray
-    block_layout: tuple[tuple[str, int, int], ...]
-
-
-@dataclass(frozen=True)
 class ClassEmbeddingSet:
     """Embeddings for an ordered class set sharing one block layout.
 
@@ -339,9 +327,6 @@ class ClassEmbeddingSet:
     def vector(self, class_name: str) -> np.ndarray:
         return self.matrix[self.index(class_name)]
 
-    def embedding(self, class_name: str) -> ClassEmbedding:
-        return ClassEmbedding(class_name, self.vector(class_name), self.block_layout)
-
     def select(self, class_names: Sequence[str]) -> np.ndarray:
         """Rows for the given classes, in the given order."""
         return self.matrix[[self.index(c) for c in class_names]]
@@ -378,53 +363,49 @@ def build_class_embeddings(classes: Sequence[str], sources: Sequence[str],
         raise ValueError("at least one source is required")
     ordered = [s for s in SOURCE_ORDER if s in requested]
 
-    def blocks_for(name: str) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for source in ordered:
-            if source == "attribute":
-                if inputs.schema is None or inputs.assignments is None:
-                    raise ValueError("attribute source needs schema and assignments")
-                if name not in inputs.assignments:
-                    raise IncompleteCoverageError(
-                        f"class {name!r} missing from source 'attribute'")
-                vec = encode_attributes(inputs.schema, inputs.assignments[name])
-            elif source == "taxonomy":
-                if inputs.taxonomy is None or inputs.leaf_map is None:
-                    raise ValueError("taxonomy source needs a tree and a leaf map")
-                if name not in inputs.leaf_map:
-                    raise IncompleteCoverageError(
-                        f"class {name!r} missing from source 'taxonomy'")
-                vec = encode_taxonomy(inputs.taxonomy, inputs.leaf_map[name])
-            else:
-                if inputs.word_table is None:
-                    raise ValueError("word source needs a word-vector table")
-                common = inputs.common_names.get(name, name)
-                try:
-                    vec = encode_words(inputs.word_table, common, inputs.word_policy)
-                except OutOfVocabularyError as exc:
-                    raise IncompleteCoverageError(
-                        f"class {name!r} missing from source 'word': {exc}") from exc
-            if normalize_blocks:
-                norm = float(np.linalg.norm(vec))
-                if norm > 0.0:
-                    vec = vec / norm
-            out.append((source, vec))
-        return out
+    # Every encoder's block length is fixed by its input, so the layout is
+    # the same for every class.
+    layout, offset = [], 0
+    for source in ordered:
+        if source == "attribute":
+            if inputs.schema is None or inputs.assignments is None:
+                raise ValueError("attribute source needs schema and assignments")
+            length = inputs.schema.n_pairs
+        elif source == "taxonomy":
+            if inputs.taxonomy is None or inputs.leaf_map is None:
+                raise ValueError("taxonomy source needs a tree and a leaf map")
+            length = len(inputs.taxonomy)
+        else:
+            if inputs.word_table is None:
+                raise ValueError("word source needs a word-vector table")
+            length = inputs.word_table.dimension
+        layout.append((source, offset, length))
+        offset += length
 
-    rows = []
-    layout: tuple[tuple[str, int, int], ...] | None = None
-    for name in classes:
-        blocks = blocks_for(name)
-        offset = 0
-        this_layout = []
-        for source, vec in blocks:
-            this_layout.append((source, offset, len(vec)))
-            offset += len(vec)
-        this_layout = tuple(this_layout)
-        if layout is None:
-            layout = this_layout
-        elif layout != this_layout:
-            raise IncompleteCoverageError(
-                f"class {name!r} produced layout {this_layout}, expected {layout}")
-        rows.append(np.concatenate([vec for _, vec in blocks]))
-    return ClassEmbeddingSet(tuple(classes), np.vstack(rows), layout or ())
+    def block(name: str, source: str) -> np.ndarray:
+        if source == "attribute":
+            if name not in inputs.assignments:
+                raise IncompleteCoverageError(
+                    f"class {name!r} missing from source 'attribute'")
+            vec = encode_attributes(inputs.schema, inputs.assignments[name])
+        elif source == "taxonomy":
+            if name not in inputs.leaf_map:
+                raise IncompleteCoverageError(
+                    f"class {name!r} missing from source 'taxonomy'")
+            vec = encode_taxonomy(inputs.taxonomy, inputs.leaf_map[name])
+        else:
+            common = inputs.common_names.get(name, name)
+            try:
+                vec = encode_words(inputs.word_table, common, inputs.word_policy)
+            except OutOfVocabularyError as exc:
+                raise IncompleteCoverageError(
+                    f"class {name!r} missing from source 'word': {exc}") from exc
+        if normalize_blocks:
+            norm = float(np.linalg.norm(vec))
+            if norm > 0.0:
+                vec = vec / norm
+        return vec
+
+    rows = [np.concatenate([block(name, source) for source in ordered])
+            for name in classes]
+    return ClassEmbeddingSet(tuple(classes), np.vstack(rows), tuple(layout))

@@ -21,6 +21,7 @@ Floats are written with repr() and therefore round-trip bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .evaluate import SPLIT_NAMES, ClassSplits, SplitDataset
 from .model import CompatModel
+from .train import TrainConfig
 
 _CHECKPOINT_MAGIC = b"ZSLCKPT1\n"
 
@@ -77,16 +79,22 @@ def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_pairs(path, usage: str, key_kind: str) -> dict[str, str]:
-    """Parse `key<TAB>value` lines into a dict, refusing repeated keys."""
-    out: dict[str, str] = {}
+def _tab_pairs(path, usage: str):
+    """Yield (line number, key, value) for `key<TAB>value` lines."""
     for no, line in _data_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError(path, no, f"expected '{usage}'")
-        if parts[0] in out:
-            raise ParseError(path, no, f"duplicate {key_kind} {parts[0]!r}")
-        out[parts[0]] = parts[1]
+        yield no, parts[0], parts[1]
+
+
+def _read_pairs(path, usage: str, key_kind: str) -> dict[str, str]:
+    """Parse `key<TAB>value` lines into a dict, refusing repeated keys."""
+    out: dict[str, str] = {}
+    for no, key, value in _tab_pairs(path, usage):
+        if key in out:
+            raise ParseError(path, no, f"duplicate {key_kind} {key!r}")
+        out[key] = value
     return out
 
 
@@ -94,12 +102,76 @@ def _write_pairs(path, pairs: Mapping[str, str]) -> None:
     _write_lines(path, (f"{k}\t{v}" for k, v in pairs.items()))
 
 
-def _require_finite(path, matrix: np.ndarray, row_lines) -> None:
-    """Refuse nan and inf values, naming the first row's line that has one."""
+def _header(path, line, usage: str, rows: int) -> dict[str, int]:
+    """The integer fields of a `d=<int> n=<int> normalized=<0|1>` or
+    `m=<int> n=<int>` header line, whose keys `usage` spells. The first key
+    is the row width and must be >= 1; `n` must count the `rows` below."""
+    no, text = line
+    keys = [tok.split("=", 1)[0] for tok in usage.split()]
+    fields = dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
+    try:
+        out = {key: int(fields[key]) for key in keys}
+    except (KeyError, ValueError):
+        raise ParseError(path, no, f"header must be '{usage}'") from None
+    width = keys[0]
+    if out[width] < 1:
+        raise ParseError(path, no, f"header needs {width} >= 1, got {width}={out[width]}")
+    if out.get("normalized", 0) not in (0, 1):
+        raise ParseError(path, no, f"header needs normalized=0 or 1, got {out['normalized']}")
+    if out["n"] != rows:
+        raise ParseError(path, no, f"header declares n={out['n']} but file has {rows} rows")
+    return out
+
+
+def _read_rows(path, lines, width: int | None, kind: str, sep: str | None = None):
+    """Parse `label<sep>v1 ... vN` lines (whitespace between the values) into
+    the labels, an (n, N) float64 matrix and each row's line number. N is
+    `width`, or the first row's length when `width` is None. Each row's width
+    is checked before the matrix is allocated, so a header cannot ask for more
+    memory than the file holds. Labels must be unique and values finite."""
+    line_of: dict[str, int] = {}  # label -> line number, in file order
+    matrix = np.empty((0, width or 0), dtype=np.float64)
+    for r, (no, line) in enumerate(lines):
+        if sep is None:
+            label, *values = line.split()
+        else:
+            parts = line.split(sep)
+            if len(parts) != 2:
+                raise ParseError(path, no, f"expected '{kind}<TAB>v1 v2 ...'")
+            label, values = parts[0], parts[1].split()
+        if width is None:
+            width = len(values) or 1  # a label alone is a short row
+        if len(values) != width:
+            raise ParseError(path, no, f"expected {kind} plus {width} value(s), "
+                                       f"got {len(values)}")
+        if label in line_of:
+            raise ParseError(path, no, f"duplicate {kind} {label!r}")
+        if r == 0:
+            matrix = np.empty((len(lines), width), dtype=np.float64)
+        line_of[label] = no
+        try:
+            matrix[r] = [float(v) for v in values]
+        except ValueError:
+            raise ParseError(path, no, f"non-numeric value in {kind} row") from None
+    row_lines = list(line_of.values())
     finite_rows = np.isfinite(matrix).all(axis=1)
     if not finite_rows.all():
         raise ParseError(path, row_lines[int(np.argmin(finite_rows))],
                          "non-finite value (nan or inf)")
+    return tuple(line_of), matrix, row_lines
+
+
+def _write_rows(path, header, labels, rows, sep: str = " ") -> None:
+    """Write header lines, then one `label<sep>v1 ... vN` line per row."""
+    _write_lines(path, [*header, *(label + sep + " ".join(map(_fmt, row.tolist()))
+                                   for label, row in zip(labels, rows))])
+
+
+def _id_join(feature_ids, labels) -> tuple[list[str], list[str]]:
+    """Feature ids without a label, and label ids without a feature row."""
+    feature_set = set(feature_ids)
+    return ([i for i in feature_ids if i not in labels],
+            [i for i in labels if i not in feature_set])
 
 
 # ---------------------------------------------------------------------------
@@ -131,39 +203,9 @@ def load_features(path, l2_normalize: bool = False) -> FeatureSet:
     lines = list(_data_lines(path))
     if not lines:
         raise ParseError(path, 1, "empty feature file")
-    header_no, header = lines[0]
-    fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
-    try:
-        d = int(fields["d"])
-        n = int(fields["n"])
-        normalized = fields["normalized"] == "1"
-    except (KeyError, ValueError):
-        raise ParseError(path, header_no,
-                         "header must be 'd=<int> n=<int> normalized=<0|1>'") from None
-    if d < 1:
-        raise ParseError(path, header_no, f"header needs d >= 1, got d={d}")
-    ids: list[str] = []
-    row_lines: list[int] = []
-    rows = np.empty((len(lines) - 1, d), dtype=np.float64)
-    seen_ids: set[str] = set()
-    for r, (no, line) in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise ParseError(path, no,
-                             f"expected id plus {d} values, got {len(parts)} fields")
-        if parts[0] in seen_ids:
-            raise ParseError(path, no, f"duplicate instance id {parts[0]!r}")
-        seen_ids.add(parts[0])
-        ids.append(parts[0])
-        row_lines.append(no)
-        try:
-            rows[r] = [float(v) for v in parts[1:]]
-        except ValueError:
-            raise ParseError(path, no, "non-numeric feature value") from None
-    if len(ids) != n:
-        raise ParseError(path, header_no,
-                         f"header declares n={n} but file has {len(ids)} rows")
-    _require_finite(path, rows, row_lines)
+    header = _header(path, lines[0], "d=<int> n=<int> normalized=<0|1>", len(lines) - 1)
+    ids, rows, row_lines = _read_rows(path, lines[1:], header["d"], "instance id")
+    normalized = header["normalized"] == 1
     if normalized:
         norms = np.linalg.norm(rows, axis=1)
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
@@ -174,15 +216,13 @@ def load_features(path, l2_normalize: bool = False) -> FeatureSet:
     if l2_normalize:
         rows = l2_normalize_rows(rows, ids)
         normalized = True
-    return FeatureSet(tuple(ids), rows, normalized)
+    return FeatureSet(ids, rows, normalized)
 
 
 def save_features(path, features: FeatureSet) -> None:
-    out = [f"d={features.d} n={len(features.ids)} "
-           f"normalized={1 if features.normalized else 0}"]
-    for i, row in zip(features.ids, features.matrix):
-        out.append(i + " " + " ".join(_fmt(v) for v in row))
-    _write_lines(path, out)
+    _write_rows(path, [f"d={features.d} n={len(features.ids)} "
+                       f"normalized={1 if features.normalized else 0}"],
+                features.ids, features.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +284,9 @@ def load_dataset(features_path, labels_path, splits_path,
     features = load_features(features_path, l2_normalize=l2_normalize)
     labels = load_labels(labels_path)
     splits = load_splits(splits_path)
-    missing = [i for i in features.ids if i not in labels]
+    missing, extra = _id_join(features.ids, labels)
     if missing:
         raise AlignmentError(f"feature id(s) without a label: {missing[:5]}")
-    feature_ids = set(features.ids)
-    extra = [i for i in labels if i not in feature_ids]
     if extra:
         raise AlignmentError(f"label id(s) without features: {extra[:5]}")
     return SplitDataset(features.ids, features.matrix,
@@ -260,43 +298,20 @@ def load_dataset(features_path, labels_path, splits_path,
 # ---------------------------------------------------------------------------
 
 def load_word_vectors(path) -> WordVectorTable:
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for no, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) < 2:
-            raise ParseError(path, no, "expected 'token v1 ... vD'")
-        token = parts[0]
-        if token in vectors:
-            raise ParseError(path, no, f"duplicate token {token!r}")
-        try:
-            vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError:
-            raise ParseError(path, no, "non-numeric vector value") from None
-        _require_finite(path, vec[None, :], [no])
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ParseError(path, no,
-                             f"vector length {len(vec)} != declared {dim}")
-        vectors[token] = vec
-    if dim is None:
+    lines = list(_data_lines(path))
+    if not lines:
         raise ParseError(path, 1, "empty word-vector file")
-    return WordVectorTable(dim, vectors)
+    tokens, matrix, _ = _read_rows(path, lines, None, "token")
+    return WordVectorTable(matrix.shape[1], dict(zip(tokens, matrix)))
 
 
 def save_word_vectors(path, table: WordVectorTable) -> None:
-    _write_lines(path, (t + " " + " ".join(_fmt(v) for v in vec)
-                        for t, vec in table.vectors.items()))
+    _write_rows(path, [], table.vectors.keys(), table.vectors.values())
 
 
 def load_taxonomy(path) -> TaxonomyTree:
-    edges = []
-    for no, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected 'child_label<TAB>parent_label'")
-        edges.append((parts[0], parts[1]))
+    edges = [(child, parent) for _, child, parent
+             in _tab_pairs(path, "child_label<TAB>parent_label")]
     if not edges:
         raise ParseError(path, 1, "empty taxonomy file")
     return TaxonomyTree.from_edges(edges)
@@ -316,13 +331,8 @@ def save_leaf_map(path, leaf_map: Mapping[str, str]) -> None:
 
 
 def load_attribute_schema(path) -> AttributeSchema:
-    attrs = []
-    for no, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected 'attribute<TAB>v1,v2,...'")
-        values = tuple(v.strip() for v in parts[1].split(",") if v.strip())
-        attrs.append((parts[0], values))
+    attrs = [(name, tuple(v.strip() for v in values.split(",") if v.strip()))
+             for _, name, values in _tab_pairs(path, "attribute<TAB>v1,v2,...")]
     if not attrs:
         raise ParseError(path, 1, "empty attribute schema file")
     return AttributeSchema(tuple(attrs))
@@ -370,15 +380,7 @@ def load_class_embeddings(path) -> ClassEmbeddingSet:
     lines = list(_data_lines(path))
     if len(lines) < 2:
         raise ParseError(path, 1, "embedding file needs two header lines")
-    h1_no, h1 = lines[0]
-    fields = dict(tok.split("=", 1) for tok in h1.split() if "=" in tok)
-    try:
-        m = int(fields["m"])
-        n = int(fields["n"])
-    except (KeyError, ValueError):
-        raise ParseError(path, h1_no, "header must be 'm=<int> n=<int>'") from None
-    if m < 1:
-        raise ParseError(path, h1_no, f"header needs m >= 1, got m={m}")
+    header = _header(path, lines[0], "m=<int> n=<int>", len(lines) - 2)
     h2_no, h2 = lines[1]
     if not h2.startswith("blocks="):
         raise ParseError(path, h2_no, "second header line must be 'blocks=...'")
@@ -389,35 +391,14 @@ def load_class_embeddings(path) -> ClassEmbeddingSet:
             layout.append((tag, int(off), int(ln)))
         except ValueError:
             raise ParseError(path, h2_no, f"bad block spec {item!r}") from None
-    names: list[str] = []
-    row_lines: list[int] = []
-    matrix = np.empty((len(lines) - 2, m), dtype=np.float64)
-    for r, (no, line) in enumerate(lines[2:]):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected 'class<TAB>v1 v2 ...'")
-        values = parts[1].split()
-        if len(values) != m:
-            raise ParseError(path, no, f"expected {m} values, got {len(values)}")
-        names.append(parts[0])
-        row_lines.append(no)
-        try:
-            matrix[r] = [float(v) for v in values]
-        except ValueError:
-            raise ParseError(path, no, "non-numeric embedding value") from None
-    if len(names) != n:
-        raise ParseError(path, h1_no,
-                         f"header declares n={n} but file has {len(names)} rows")
-    _require_finite(path, matrix, row_lines)
-    return ClassEmbeddingSet(tuple(names), matrix, tuple(layout))
+    names, matrix, _ = _read_rows(path, lines[2:], header["m"], "class", sep="\t")
+    return ClassEmbeddingSet(names, matrix, tuple(layout))
 
 
 def save_class_embeddings(path, embeddings: ClassEmbeddingSet) -> None:
-    out = [f"m={embeddings.m} n={len(embeddings)}",
-           "blocks=" + _fmt_layout(embeddings.block_layout)]
-    for name, row in zip(embeddings.class_names, embeddings.matrix):
-        out.append(name + "\t" + " ".join(_fmt(v) for v in row))
-    _write_lines(path, out)
+    _write_rows(path, [f"m={embeddings.m} n={len(embeddings)}",
+                       "blocks=" + _fmt_layout(embeddings.block_layout)],
+                embeddings.class_names, embeddings.matrix, sep="\t")
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +450,7 @@ def load_checkpoint(path) -> Checkpoint:
         classes = tuple(meta.get("classes", []))
         layout = tuple((tag, int(off), int(ln))
                        for tag, off, ln in meta.get("block_layout", []))
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, OverflowError):
         raise ParseError(path, 2, "bad checkpoint metadata") from None
     expected = (d + 1) * (m + 1) * 8
     if len(raw) != expected:
@@ -503,23 +484,13 @@ def _parse_bool(raw: str) -> bool:
 
 CONFIG_SCHEMA: dict[str, type | object] = {
     **{k: str for k in _PATH_KEYS},
+    # Training keys parse as the type of their TrainConfig default.
+    **{f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+       for f in dataclasses.fields(TrainConfig)},
     "sources": str,          # comma-separated subset of attribute,taxonomy,word
     "word_policy": str,
     "normalize_blocks": _parse_bool,
     "l2_normalize": _parse_bool,
-    "optimizer": str,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "batch_size": int,
-    "max_iterations": int,
-    "eval_every": int,
-    "seed": int,
-    "init_scheme": str,
-    "oversample": _parse_bool,
-    "use_wx": _parse_bool,
-    "use_wy": _parse_bool,
     "eval_split": str,
     "repeats": int,
     "grid": str,
@@ -605,22 +576,15 @@ def validate_experiment(config: Mapping) -> ValidationReport:
         split_classes = set(splits.all_classes())
         if labels is not None:
             stray = sorted({c for c in labels.values() if c not in split_classes})
-            for cls in stray:
-                violations.append(f"label class {cls!r} is not in any split")
+            violations.extend(f"label class {cls!r} is not in any split" for cls in stray)
         if embeddings is not None:
-            for name in SPLIT_NAMES:
-                for cls in splits.classes(name):
-                    if cls not in embeddings:
-                        violations.append(
-                            f"class {cls!r} in split {name!r} has no embedding")
+            violations.extend(f"class {cls!r} in split {name!r} has no embedding"
+                              for name in SPLIT_NAMES for cls in splits.classes(name)
+                              if cls not in embeddings)
     if features is not None and labels is not None:
-        feature_ids = set(features.ids)
-        for i in features.ids:
-            if i not in labels:
-                violations.append(f"feature id {i!r} has no label")
-        for i in labels:
-            if i not in feature_ids:
-                violations.append(f"label id {i!r} has no feature row")
+        missing, extra = _id_join(features.ids, labels)
+        violations.extend(f"feature id {i!r} has no label" for i in missing)
+        violations.extend(f"label id {i!r} has no feature row" for i in extra)
     if checkpoint is not None:
         if features is not None and features.d != checkpoint.model.d:
             violations.append(

@@ -121,15 +121,15 @@ def oversample_indices(labels, seed: int = 0) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def _linear_term_mask(d: int, m: int, use_wx: bool, use_wy: bool) -> np.ndarray:
-    """1 where a parameter is trainable. Masking zeroes w_x (last column) or
-    w_y (last row); the corner bias stays trainable either way."""
-    mask = np.ones((d + 1, m + 1))
-    if not use_wx:
-        mask[:d, m] = 0.0
-    if not use_wy:
-        mask[d, :m] = 0.0
-    return mask
+def _zero_frozen_terms(A: np.ndarray, config: TrainConfig) -> None:
+    """Zero in place the w_x column and the w_y row of an extended matrix for
+    a linear term the config turns off; the corner bias stays trainable.
+    Multiplying by 0.0 keeps the -0.0 signs of a full `A *= mask` product."""
+    d, m = A.shape[0] - 1, A.shape[1] - 1
+    if not config.use_wx:
+        A[:d, m] *= 0.0
+    if not config.use_wy:
+        A[d, :m] *= 0.0
 
 
 def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
@@ -163,9 +163,8 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     Phi_e = extend_embedding(X)
     Psi_e = extend_embedding(embeddings.select(train_classes))
 
-    model = init_model(d, m, config.init_scheme, config.seed)
-    mask = _linear_term_mask(d, m, config.use_wx, config.use_wy)
-    W_e = model.W_e * mask
+    W_e = init_model(d, m, config.init_scheme, config.seed).W_e
+    _zero_frozen_terms(W_e, config)
 
     if config.oversample:
         pool = oversample_indices(labels, config.seed)
@@ -194,12 +193,7 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
             if not math.isfinite(batch_nll):
                 raise DivergenceError(
                     f"training diverged at iteration {t}: batch NLL is {batch_nll!r}")
-            # Same result as G *= mask, including the -0.0 signs, without the
-            # full-matrix pass.
-            if not config.use_wx:
-                G[:d, m] *= 0.0
-            if not config.use_wy:
-                G[d, :m] *= 0.0
+            _zero_frozen_terms(G, config)
             if config.optimizer == "adam":
                 adam_step(opt_state, W_e, G)  # in place: W_e and the moments
             else:

@@ -46,6 +46,15 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert splits.seen[0] in out
 
+    def test_relative_set_path_resolves_against_config_dir(
+            self, experiment, capsys, monkeypatch, tmp_path_factory):
+        tmp, config = experiment
+        (tmp / "labels.tsv").rename(tmp / "renamed.tsv")
+        monkeypatch.chdir(tmp_path_factory.mktemp("elsewhere"))
+        assert main(["validate", "--config", str(config),
+                     "--set", "labels=renamed.tsv"]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
+
 
 class TestEmbedTrainEvalFlow:
     def test_full_flow(self, experiment, capsys):
@@ -207,6 +216,30 @@ def negative_embedding_dimension(tmp):
     return "embeddings.txt:1:"
 
 
+def huge_feature_dimension(tmp):
+    # refused at the first row, before a matrix of that width is allocated
+    replace_first_line(tmp / "features.txt", "d=1000000000000 n=120 normalized=1")
+    return "features.txt:2:"
+
+
+def huge_embedding_dimension(tmp):
+    replace_first_line(tmp / "embeddings.txt", "m=1000000000000 n=10")
+    return "embeddings.txt:3:"
+
+
+def normalized_flag_two(tmp):
+    header = (tmp / "features.txt").read_text().split("\n", 1)[0]
+    replace_first_line(tmp / "features.txt", header.rsplit("=", 1)[0] + "=2")
+    return "features.txt:1:"
+
+
+def repeated_class_row(tmp):
+    lines = (tmp / "embeddings.txt").read_text().split("\n")
+    lines[3] = lines[2]
+    (tmp / "embeddings.txt").write_text("\n".join(lines))
+    return "embeddings.txt:4:"
+
+
 def nan_feature_value(tmp):
     lines = (tmp / "features.txt").read_text().split("\n")
     row = lines[4].split(" ")
@@ -236,6 +269,11 @@ def checkpoint_meta_negative_shape(tmp):
                                    payload_bytes=32)
 
 
+def checkpoint_meta_infinite_dimension(tmp):
+    # JSON's 1e400 parses as float("inf"), which int() cannot convert
+    return rewrite_checkpoint_meta(tmp, lambda meta: {**meta, "d": float("inf")})
+
+
 class TestMalformedInputs:
     """Each malformed file ends the command with exit 1 and one error line
     naming the file and line, never a traceback."""
@@ -243,7 +281,9 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("corrupt", [
         corrupt_labels_encoding, negative_feature_dimension,
         negative_embedding_dimension, nan_feature_value, checkpoint_meta_not_object,
-        checkpoint_meta_bad_layout, checkpoint_meta_negative_shape])
+        checkpoint_meta_bad_layout, checkpoint_meta_negative_shape,
+        huge_feature_dimension, huge_embedding_dimension, normalized_flag_two,
+        repeated_class_row, checkpoint_meta_infinite_dimension])
     def test_single_error_line(self, experiment, capsys, corrupt):
         tmp, config = experiment
         argv = eval_args(tmp, config)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from zslkit.errors import (
     ConfigError,
     DegenerateFeatureError,
     ParseError,
+    ZslError,
 )
 from zslkit.evaluate import ClassSplits
 from zslkit.model import CompatModel
@@ -335,3 +338,67 @@ class TestValidateExperiment:
         report = io.validate_experiment(cfg)
         assert not report.ok
         assert "features" in report.violations[0]
+
+
+# Pieces of every text format, so that arbitrary joins of them reach the
+# header, row and section parsers rather than failing on the first byte.
+FRAGMENTS = [
+    b"d=", b"m=", b"n=", b"normalized=", b"blocks=", b"seed=", b"use_wx=",
+    b"learning_rate=", b"[seen]", b"[zsl_validation]", b"[zsl_test]",
+    b"nan", b"inf", b"-inf", b"1e400", b"1000000000000", b"0", b"1", b"2", b"-1",
+    b"0.6", b"a", b"b", b"=", b":", b";", b",", b"#", b"\t", b"\n", b" ", b"\xff",
+    b"d=1 n=1 normalized=0\n", b"m=1 n=1\nblocks=word:0:1\n", b"a 1.0\n",
+    b"d=1000000000000 n=1 normalized=0\n", b"m=1000000000000 n=1\nblocks=word:0:1\n",
+    b"A\t1.0\n", b"A\tB\n", b"attr=a,b",
+]
+
+TEXT_LOADERS = [
+    io.load_features, io.load_labels, io.load_splits, io.load_word_vectors,
+    io.load_taxonomy, io.load_leaf_map, io.load_attribute_schema,
+    io.load_attribute_assignments, io.load_class_embeddings, io.load_config,
+]
+
+# json writes and reads the non-finite floats as Infinity and NaN.
+SCALARS = (st.none() | st.booleans() | st.integers(-1, 3) | st.integers()
+           | st.floats() | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+           | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+CHECKPOINT_META = JSON_VALUES | st.fixed_dictionaries(
+    {"d": SCALARS, "m": SCALARS},
+    optional={"classes": JSON_VALUES, "block_layout": JSON_VALUES})
+
+
+def returns_or_refuses(loader, path):
+    """The loader returns, or raises a ZslError; a ParseError names the
+    file and a line >= 1. Any other exception fails the test."""
+    try:
+        loader(path)
+    except ParseError as exc:
+        assert exc.path == str(path) and exc.line >= 1
+    except ZslError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoadersOnArbitraryInput:
+    @pytest.mark.parametrize("loader", TEXT_LOADERS, ids=lambda f: f.__name__)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.lists(st.sampled_from(FRAGMENTS), max_size=30).map(b"".join))
+    def test_text_loader(self, loader, data, fuzz_dir):
+        path = fuzz_dir / f"{loader.__name__}.txt"
+        path.write_bytes(data)
+        returns_or_refuses(loader, path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(meta=CHECKPOINT_META, payload=st.binary(max_size=64))
+    def test_checkpoint_metadata(self, meta, payload, fuzz_dir):
+        path = fuzz_dir / "model.ckpt"
+        path.write_bytes(b"ZSLCKPT1\n" + json.dumps(meta).encode() + b"\n" + payload)
+        returns_or_refuses(io.load_checkpoint, path)
