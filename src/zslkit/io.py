@@ -1,7 +1,9 @@
 """File formats and experiment-level validation.
 
 All data files are line-oriented UTF-8 text with explicit headers so they
-diff cleanly; only model checkpoints use a compact binary layout. Formats:
+diff cleanly; only model checkpoints use a compact binary layout. Only the
+newline character ends a line, and a carriage return before it is stripped;
+other line-break characters are whitespace within a line. Formats:
 
   features     header `d=<int> n=<int> normalized=<0|1>`, then `id v1 ... vd`
   labels       `id<TAB>class_label`
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -69,7 +72,7 @@ def _read_text(path) -> str:
 
 def _data_lines(path):
     """Yield (1-based line number, stripped line), skipping blanks."""
-    for no, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for no, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if line:
             yield no, line
@@ -123,12 +126,45 @@ def _header(path, line, usage: str, rows: int) -> dict[str, int]:
     return out
 
 
-def _read_rows(path, lines, width: int | None, kind: str, sep: str | None = None):
-    """Parse `label<sep>v1 ... vN` lines (whitespace between the values) into
-    the labels, an (n, N) float64 matrix and each row's line number. N is
-    `width`, or the first row's length when `width` is None. Each row's width
-    is checked before the matrix is allocated, so a header cannot ask for more
-    memory than the file holds. Labels must be unique and values finite."""
+def _convert_body(lines, width: int | None, sep: str | None):
+    """numpy's C text reader over the rows' value texts: (line_of, matrix)
+    when it converts every line to a row of the expected width, else None.
+    Its float conversion gives the bits float() gives, and it splits values
+    on the whitespace str.split() splits on; tokens only float() reads, such
+    as `1_0`, make it raise. Each value text is one row (the reader refuses
+    an embedded carriage return), so n rows mean every line was read.
+    `max_rows` makes the reader allocate the matrix once instead of growing
+    it."""
+    line_of: dict[str, int] = {}  # label -> line number, in file order
+
+    def value_texts():
+        # Stops at a line with no value text (with a tab sep: not exactly one
+        # tab) or a repeated label; the row loop then reports that line.
+        for no, line in lines:
+            parts = line.split(sep) if sep else line.split(None, 1)
+            if len(parts) != 2 or parts[0] in line_of:
+                return
+            line_of[parts[0]] = no
+            yield parts[1]
+
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns when value_texts stops at the first line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            matrix = np.loadtxt(value_texts(), dtype=np.float64, comments=None,
+                                ndmin=2, max_rows=len(lines))
+    except ValueError:
+        return None
+    if matrix.shape != (len(lines), width or matrix.shape[1]):
+        return None
+    return line_of, matrix
+
+
+def _read_rows_loop(path, lines, width: int | None, kind: str, sep: str | None):
+    """Row by row, the same conversion as _convert_body, raising ParseError at
+    the first line that breaks the format. Each row's width is checked before
+    the matrix is allocated, so a header cannot ask for more memory than the
+    file holds."""
     line_of: dict[str, int] = {}  # label -> line number, in file order
     matrix = np.empty((0, width or 0), dtype=np.float64)
     for r, (no, line) in enumerate(lines):
@@ -153,6 +189,18 @@ def _read_rows(path, lines, width: int | None, kind: str, sep: str | None = None
             matrix[r] = [float(v) for v in values]
         except ValueError:
             raise ParseError(path, no, f"non-numeric value in {kind} row") from None
+    return line_of, matrix
+
+
+def _read_rows(path, lines, width: int | None, kind: str, sep: str | None = None):
+    """Parse `label<sep>v1 ... vN` lines (whitespace between the values) into
+    the labels, an (n, N) float64 matrix and each row's line number. N is
+    `width`, or the first row's length when `width` is None. A clean body is
+    converted in one pass of numpy's text reader; any other body goes through
+    the row loop, which names the first bad line. Labels must be unique and
+    values finite."""
+    line_of, matrix = (_convert_body(lines, width, sep)
+                       or _read_rows_loop(path, lines, width, kind, sep))
     row_lines = list(line_of.values())
     finite_rows = np.isfinite(matrix).all(axis=1)
     if not finite_rows.all():
@@ -162,8 +210,9 @@ def _read_rows(path, lines, width: int | None, kind: str, sep: str | None = None
 
 
 def _write_rows(path, header, labels, rows, sep: str = " ") -> None:
-    """Write header lines, then one `label<sep>v1 ... vN` line per row."""
-    _write_lines(path, [*header, *(label + sep + " ".join(map(_fmt, row.tolist()))
+    """Write header lines, then one `label<sep>v1 ... vN` line per row. The
+    rows are float64, so repr() of their elements writes what _fmt writes."""
+    _write_lines(path, [*header, *(label + sep + " ".join(map(repr, row.tolist()))
                                    for label, row in zip(labels, rows))])
 
 
@@ -222,7 +271,7 @@ def load_features(path, l2_normalize: bool = False) -> FeatureSet:
 def save_features(path, features: FeatureSet) -> None:
     _write_rows(path, [f"d={features.d} n={len(features.ids)} "
                        f"normalized={1 if features.normalized else 0}"],
-                features.ids, features.matrix)
+                features.ids, np.asarray(features.matrix, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +506,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(path, 2,
                          f"checkpoint payload is {len(raw)} bytes, expected {expected}")
     W_e = np.frombuffer(raw, dtype="<f8").reshape(d + 1, m + 1).copy()
+    if not np.isfinite(W_e).all():
+        raise ParseError(path, 2, "checkpoint payload has a non-finite value (nan or inf)")
     return Checkpoint(CompatModel(W_e), classes, layout)
 
 

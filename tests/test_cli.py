@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -248,6 +249,12 @@ def nan_feature_value(tmp):
     return "features.txt:5:"
 
 
+def form_feed_inside_a_row(tmp):
+    # \x0c separates two values; only \n ends a line
+    (tmp / "features.txt").write_text("d=2 n=2 normalized=0\na 1.0\x0c2.0\nb 1.0 x\n")
+    return "features.txt:3: non-numeric value in instance id row"
+
+
 def rewrite_checkpoint_meta(tmp, edit, payload_bytes=None):
     magic, meta, raw = (tmp / "model.ckpt").read_bytes().split(b"\n", 2)
     meta = json.dumps(edit(json.loads(meta))).encode()
@@ -274,6 +281,12 @@ def checkpoint_meta_infinite_dimension(tmp):
     return rewrite_checkpoint_meta(tmp, lambda meta: {**meta, "d": float("inf")})
 
 
+def nan_checkpoint_entry(tmp):
+    blob = (tmp / "model.ckpt").read_bytes()
+    (tmp / "model.ckpt").write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
+    return "model.ckpt:2: checkpoint payload has a non-finite value"
+
+
 class TestMalformedInputs:
     """Each malformed file ends the command with exit 1 and one error line
     naming the file and line, never a traceback."""
@@ -283,7 +296,8 @@ class TestMalformedInputs:
         negative_embedding_dimension, nan_feature_value, checkpoint_meta_not_object,
         checkpoint_meta_bad_layout, checkpoint_meta_negative_shape,
         huge_feature_dimension, huge_embedding_dimension, normalized_flag_two,
-        repeated_class_row, checkpoint_meta_infinite_dimension])
+        repeated_class_row, checkpoint_meta_infinite_dimension, form_feed_inside_a_row,
+        nan_checkpoint_entry])
     def test_single_error_line(self, experiment, capsys, corrupt):
         tmp, config = experiment
         argv = eval_args(tmp, config)

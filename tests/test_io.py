@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,11 @@ class TestFeatures:
         assert back.ids == fs.ids
         assert back.matrix.tobytes() == fs.matrix.tobytes()
         assert back.normalized == fs.normalized
+
+    def test_integer_matrix_written_as_floats(self, tmp_path):
+        p = tmp_path / "f.txt"
+        io.save_features(p, io.FeatureSet(("x",), np.array([[1, -2]]), False))
+        assert p.read_text() == "d=2 n=1 normalized=0\nx 1.0 -2.0\n"
 
     @settings(max_examples=25, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False,
@@ -402,3 +408,93 @@ class TestLoadersOnArbitraryInput:
         path = fuzz_dir / "model.ckpt"
         path.write_bytes(b"ZSLCKPT1\n" + json.dumps(meta).encode() + b"\n" + payload)
         returns_or_refuses(io.load_checkpoint, path)
+
+
+# Body rows of the three labelled-row formats: floats in every spelling
+# float() reads, tokens that only float() reads (`1_0`, non-ASCII digits),
+# junk, blank lines and the whitespace characters str.split() and the C
+# reader might treat differently. Labels repeat often.
+FLOAT_TEXT = st.floats(width=64).map(repr)
+SPELLINGS = st.sampled_from([
+    "-0.0", "0", "+.5", "5.", "1e-320", "1E+3", "1e400", "infinity", "-nan", "NaN",
+    "1_0", "\u0661", "\uff11", "0x1p3", "1d0"])
+JUNK = st.sampled_from(["x", "#", "1,5", '"1"', "1.0.0", "e5", "--1", "\x00", "=", "nan(1)"])
+VALUE = st.one_of(FLOAT_TEXT, FLOAT_TEXT, FLOAT_TEXT, SPELLINGS, JUNK)
+SPACE = st.sampled_from([" ", " ", "  ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x85",
+                         "\xa0", "\u2028", "\u3000"])
+ROW = st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]),
+                st.lists(st.tuples(SPACE, VALUE), max_size=3))
+BODY = st.lists(ROW | st.lists(SPACE, max_size=2).map("".join), min_size=1, max_size=4)
+
+# loader, label separator, header for n rows of width w
+ROW_FORMATS = [
+    (io.load_features, "", lambda n, w: f"d={w} n={n} normalized=0\n"),
+    (io.load_word_vectors, "", lambda n, w: ""),
+    (io.load_class_embeddings, "\t", lambda n, w: f"m={w} n={n}\nblocks=word:0:{w}\n"),
+]
+
+
+def loaded_rows(loader, path):
+    """The labels and matrix bytes the loader returns and the row line
+    numbers _read_rows gave it, or the path, line and message it refused
+    the file with."""
+    calls = []
+    read_rows = io._read_rows
+
+    def spy(*args, **kwargs):
+        calls.append(read_rows(*args, **kwargs))
+        return calls[-1]
+
+    with mock.patch.object(io, "_read_rows", spy):
+        try:
+            result = loader(path)
+        except ParseError as exc:
+            return exc.path, exc.line, str(exc)
+    if isinstance(result, WordVectorTable):
+        labels, matrix = tuple(result.vectors), np.array(list(result.vectors.values()))
+    elif isinstance(result, io.FeatureSet):
+        labels, matrix = result.ids, result.matrix
+    else:
+        labels, matrix = result.class_names, result.matrix
+    [(_, _, row_lines)] = calls
+    return labels, matrix.shape, matrix.tobytes(), row_lines
+
+
+class TestRowReaders:
+    """A clean body goes through numpy's C text reader, any other through
+    the row loop; the two give the same result on every input."""
+
+    @pytest.mark.parametrize("loader, sep, header", ROW_FORMATS,
+                             ids=["features", "word_vectors", "class_embeddings"])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(body=BODY, width_shift=st.sampled_from([0, 0, 0, 1, -1]),
+           crlf=st.booleans())
+    def test_c_reader_matches_row_loop(self, loader, sep, header, body, width_shift,
+                                       crlf, fuzz_dir):
+        rows = [row if isinstance(row, str)
+                else row[0] + sep + "".join(space + value for space, value in row[1])
+                for row in body]
+        n = sum(not isinstance(row, str) for row in body)
+        width = width_shift + next((len(row[1]) for row in body
+                                    if not isinstance(row, str)), 1)
+        path = fuzz_dir / "rows.txt"
+        path.write_text(header(n, width) + ("\r\n" if crlf else "\n").join(rows) + "\n",
+                        encoding="utf-8")
+        with mock.patch.object(io, "_convert_body", lambda *args: None):
+            expected = loaded_rows(loader, path)
+        assert loaded_rows(loader, path) == expected
+
+    def test_clean_body_skips_the_row_loop(self, tmp_path, monkeypatch):
+        def row_loop(*args):
+            raise AssertionError("the row loop ran on a clean body")
+
+        monkeypatch.setattr(io, "_read_rows_loop", row_loop)
+        (tmp_path / "f.txt").write_text("d=2 n=2 normalized=0\na 1.0 -0.0\nb 1e-320 3\n")
+        (tmp_path / "w.txt").write_text("oak 1.0 2.0 3.0\nfir\t-0.5  0.25\x0c0.125\n")
+        (tmp_path / "e.txt").write_text("m=2 n=1\nblocks=word:0:2\nGreen Ash\t1.0 2.0\n")
+        features = io.load_features(tmp_path / "f.txt")
+        assert features.ids == ("a", "b")
+        assert features.matrix.tobytes() == np.array([[1.0, -0.0], [1e-320, 3.0]]).tobytes()
+        assert io.load_word_vectors(tmp_path / "w.txt").vectors["fir"].tolist() == [
+            -0.5, 0.25, 0.125]
+        assert io.load_class_embeddings(tmp_path / "e.txt").class_names == ("Green Ash",)
