@@ -16,10 +16,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .embeddings import SOURCE_ORDER, EmbeddingSources, build_class_embeddings
 from .errors import AlignmentError, ConfigError, ZslError
 from .evaluate import ablate_embeddings, ablate_linear_terms, evaluate_zsl
+from .model import score_matrix
 from .train import TrainConfig, train
 
 
@@ -179,9 +182,6 @@ def cmd_predict(args) -> int:
         candidates = splits.classes(cfg.get("eval_split", "zsl_test"))
     else:
         candidates = embeddings.class_names
-    from .model import score_matrix  # local to keep CLI imports light
-    import numpy as np
-
     S = score_matrix(model, features.matrix,
                      embeddings.select(candidates))
     lines = [f"{i}\t{candidates[k]}"

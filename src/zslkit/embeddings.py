@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     IncompleteAssignmentError,
     IncompleteCoverageError,
     MissingNodeError,
@@ -260,7 +261,7 @@ def encode_words(table: WordVectorTable, common_name: str,
     over the tokens that are present and fails only when none are.
     """
     if policy not in WORD_POLICIES:
-        raise ValueError(f"policy must be one of {WORD_POLICIES}, got {policy!r}")
+        raise ConfigError(f"policy must be one of {WORD_POLICIES}, got {policy!r}")
     tokens = tokenize_name(common_name)
     if not tokens:
         raise OutOfVocabularyError(

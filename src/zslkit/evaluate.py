@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,7 @@ class ClassSplits:
 
     def classes(self, split: str) -> tuple[str, ...]:
         if split not in SPLIT_NAMES:
-            raise ValueError(f"split must be one of {SPLIT_NAMES}, got {split!r}")
+            raise ConfigError(f"split must be one of {SPLIT_NAMES}, got {split!r}")
         return getattr(self, split)
 
     def all_classes(self) -> tuple[str, ...]:
@@ -81,7 +81,7 @@ class ClassSplits:
             raise SplitViolationError("; ".join(violations))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitDataset:
     """Labeled instances plus the split definition they must conform to."""
 
@@ -89,33 +89,37 @@ class SplitDataset:
     features: np.ndarray  # (n, d) float64
     labels: tuple[str, ...]
     splits: ClassSplits
+    codes: np.ndarray = field(init=False, repr=False)  # into splits.all_classes()
 
     def __post_init__(self):
-        self.ids = tuple(self.ids)
-        self.labels = tuple(self.labels)
-        self.features = np.asarray(self.features, dtype=np.float64)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         if not (len(self.ids) == self.features.shape[0] == len(self.labels)):
             raise AlignmentError(
                 f"ids ({len(self.ids)}), feature rows ({self.features.shape[0]}) "
                 f"and labels ({len(self.labels)}) must align")
         self.splits.require_disjoint()
-        known = set(self.splits.all_classes())
-        stray = sorted({l for l in self.labels if l not in known})
+        index = {c: i for i, c in enumerate(self.splits.all_classes())}
+        stray = sorted({l for l in self.labels if l not in index})
         if stray:
             raise SplitViolationError(
                 f"instance label(s) outside every split: {stray}")
+        object.__setattr__(self, "codes", np.array(
+            [index[l] for l in self.labels], dtype=np.int64))
 
     @property
     def d(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, split: str) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
-        """Instances whose label belongs to the given split's class set."""
-        classes = set(self.splits.classes(split))
-        keep = [i for i, l in enumerate(self.labels) if l in classes]
-        return (tuple(self.ids[i] for i in keep),
-                self.features[keep],
-                tuple(self.labels[i] for i in keep))
+    def subset(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        """The split's feature rows in dataset order, and their indices into
+        `splits.classes(split)`."""
+        n = len(self.splits.classes(split))
+        start = sum(len(self.splits.classes(s))
+                    for s in SPLIT_NAMES[:SPLIT_NAMES.index(split)])
+        keep = (self.codes >= start) & (self.codes < start + n)
+        return self.features[keep], self.codes[keep] - start
 
 
 @dataclass
@@ -141,24 +145,32 @@ def normalized_accuracy(predictions: Sequence[str], labels: Sequence[str]) -> Ev
     return EvalResult(mean, per_class, dict(confusion))
 
 
+def _target_rows(dataset: SplitDataset, target_split: str):
+    """The classes, feature rows and class indices of a zero-shot split."""
+    if target_split not in ("zsl_validation", "zsl_test"):
+        raise ConfigError(
+            f"eval split must be 'zsl_validation' or 'zsl_test', got {target_split!r}")
+    classes = dataset.splits.classes(target_split)
+    if not classes:
+        raise EmptyClassSetError(f"split {target_split!r} has no classes")
+    X, label_idx = dataset.subset(target_split)
+    if len(label_idx) == 0:
+        raise AlignmentError(f"split {target_split!r} has no instances to score")
+    return classes, X, label_idx
+
+
 def evaluate_zsl(model: CompatModel, dataset: SplitDataset,
                  embeddings: ClassEmbeddingSet, target_split: str) -> EvalResult:
     """Predict every instance of the target split among that split's classes
     only, then score with normalized accuracy."""
-    if target_split not in ("zsl_validation", "zsl_test"):
-        raise ValueError(
-            f"target_split must be 'zsl_validation' or 'zsl_test', got {target_split!r}")
-    classes = dataset.splits.classes(target_split)
-    if not classes:
-        raise EmptyClassSetError(f"split {target_split!r} has no classes")
+    classes, X, label_idx = _target_rows(dataset, target_split)
     missing = [c for c in classes if c not in embeddings]
     if missing:
         raise IncompleteCoverageError(
             f"no embedding for class(es) {missing} in split {target_split!r}")
-    _, X, labels = dataset.subset(target_split)
     S = score_matrix(model, X, embeddings.select(classes))
-    preds = [classes[i] for i in np.argmax(S, axis=1)]
-    return normalized_accuracy(preds, labels)
+    return normalized_accuracy([classes[i] for i in np.argmax(S, axis=1)],
+                               [classes[i] for i in label_idx])
 
 
 @dataclass(frozen=True)
@@ -181,6 +193,7 @@ def _train_and_score(dataset, embeddings, config, eval_split, repeats):
 
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    _target_rows(dataset, eval_split)  # refuse a bad split before training
     accs = []
     for r in range(repeats):
         cfg = dataclasses.replace(config, seed=config.seed + r)

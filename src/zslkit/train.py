@@ -140,23 +140,19 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     prediction restricted to the validation classes; the returned model is the
     snapshot at the earliest iteration attaining the best accuracy.
     """
-    splits = dataset.splits
-    splits.require_disjoint()
-    if not splits.zsl_validation:
-        raise SplitViolationError("training needs a non-empty validation class split")
+    if len(dataset.subset("zsl_validation")[1]) == 0:
+        raise SplitViolationError("split 'zsl_validation' has no instances")
 
-    train_classes = splits.seen
-    missing = [c for c in train_classes + splits.zsl_validation
+    train_classes = dataset.splits.seen
+    missing = [c for c in train_classes + dataset.splits.zsl_validation
                if c not in embeddings]
     if missing:
         raise IncompleteCoverageError(
             f"no embedding for class(es) {missing}")
 
-    _, X, labels = dataset.subset("seen")
-    if len(labels) == 0:
+    X, label_idx = dataset.subset("seen")
+    if len(label_idx) == 0:
         raise SplitViolationError("seen split has no training instances")
-    class_index = {c: i for i, c in enumerate(train_classes)}
-    label_idx = np.asarray([class_index[l] for l in labels], dtype=np.int64)
 
     d = dataset.d
     m = embeddings.m
@@ -167,9 +163,9 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     _zero_frozen_terms(W_e, config)
 
     if config.oversample:
-        pool = oversample_indices(labels, config.seed)
+        pool = oversample_indices(label_idx, config.seed)
     else:
-        pool = np.arange(len(labels), dtype=np.int64)
+        pool = np.arange(len(label_idx), dtype=np.int64)
 
     if config.optimizer == "adam":
         opt_state = AdamState.for_shape(W_e.shape, alpha=config.learning_rate,

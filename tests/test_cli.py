@@ -1,5 +1,6 @@
 import json
 import struct
+import sys
 
 import pytest
 
@@ -132,6 +133,22 @@ class TestPredictCommand:
         lines = [l for l in out.splitlines() if "\t" in l]
         assert lines
         assert all(l.split("\t")[1] in test_classes for l in lines)
+
+    def test_without_splits_scores_every_embedding_class(self, experiment, capsys):
+        tmp, config = experiment
+        assert main(["embed", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        config.write_text("".join(line for line in config.read_text().splitlines(True)
+                                  if not line.startswith("splits=")))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config),
+                     "--set", "checkpoint=" + str(tmp / "model.ckpt"),
+                     "--set", "embeddings=" + str(tmp / "embeddings.txt")]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        classes = io.load_class_embeddings(tmp / "embeddings.txt").class_names
+        assert [i for i, _ in rows] == list(io.load_features(tmp / "features.txt").ids)
+        assert all(c in classes for _, c in rows)
+        assert {c for _, c in rows} - set(io.load_splits(tmp / "splits.txt").zsl_test)
 
     def test_predictions_written_to_file(self, experiment):
         tmp, config = experiment
@@ -325,6 +342,33 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: repeats must be >= 1, got 0"]
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize("command,setting", [
+        ("eval", "eval_split=bogus"), ("eval", "eval_split=seen"),
+        ("predict", "eval_split=bogus"), ("ablate", "eval_split=bogus"),
+        ("train", "word_policy=bogus"), ("embed", "word_policy=bogus")])
+    def test_single_error_line(self, experiment, capsys, monkeypatch,
+                               command, setting):
+        tmp, config = experiment
+        argv = eval_args(tmp, config)
+        argv[0] = command
+        if command in ("train", "embed"):
+            argv = argv[:3]  # build the embeddings, so the word policy is read
+
+        def no_training(*args):
+            raise AssertionError("ablate trained a model")
+
+        # zslkit.train names the function; the module is only in sys.modules
+        monkeypatch.setattr(sys.modules["zslkit.train"], "train", no_training)
+        capsys.readouterr()
+        assert main(argv + ["--set", setting]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert repr(setting.split("=")[1]) in err[0]
 
 
 class TestLayoutMismatch:

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from synthdata import block_signal_problem, linear_problem
+from zslkit.embeddings import ClassEmbeddingSet
 from zslkit.errors import (
     AlignmentError,
     EmptyClassSetError,
@@ -10,6 +13,7 @@ from zslkit.errors import (
 from zslkit.evaluate import (
     EMBEDDING_SUBSETS,
     LINEAR_TERM_GRID,
+    SPLIT_NAMES,
     ClassSplits,
     SplitDataset,
     ablate_embeddings,
@@ -17,7 +21,7 @@ from zslkit.evaluate import (
     evaluate_zsl,
     normalized_accuracy,
 )
-from zslkit.model import CompatModel, score
+from zslkit.model import CompatModel, score, score_matrix
 from zslkit.train import TrainConfig, train
 
 
@@ -153,17 +157,80 @@ class TestEvaluateZsl:
         with pytest.raises(ValueError):
             evaluate_zsl(model, dataset, embeddings, "seen")
 
-    def test_empty_split(self):
+    @pytest.mark.parametrize("test_classes,error,message", [
+        ((), EmptyClassSetError, "split 'zsl_test' has no classes"),
+        (("c",), AlignmentError, "split 'zsl_test' has no instances to score"),
+    ], ids=["no_classes", "classes_without_instances"])
+    def test_empty_split(self, test_classes, error, message, monkeypatch):
         rng = np.random.default_rng(5)
-        splits = ClassSplits(("a",), ("b",), ())
+        splits = ClassSplits(("a",), ("b",), test_classes)
         dataset = SplitDataset(("i0", "i1"), rng.normal(size=(2, 3)),
                                ("a", "b"), splits)
-        from zslkit.embeddings import ClassEmbeddingSet
-
-        emb = ClassEmbeddingSet(("a", "b"), rng.normal(size=(2, 4)),
+        emb = ClassEmbeddingSet(("a", "b", "c"), rng.normal(size=(3, 4)),
                                 (("word", 0, 4),))
-        with pytest.raises(EmptyClassSetError):
+        with pytest.raises(error, match=f"^{message}$"):
             evaluate_zsl(CompatModel.zeros(3, 4), dataset, emb, "zsl_test")
+
+        def no_training(*args):
+            raise AssertionError("ablation trained a model")
+
+        # zslkit.train names the function; the module is only in sys.modules
+        monkeypatch.setattr(sys.modules["zslkit.train"], "train", no_training)
+        with pytest.raises(error, match=f"^{message}$"):
+            ablate_linear_terms(dataset, emb, FAST, eval_split="zsl_test")
+
+
+def shuffled_problem(seed, sizes=(4, 2, 3)):
+    """Labels in random order over classes listed in random order, so a
+    class's code, its index within its split and its label order differ."""
+    rng = np.random.default_rng(seed)
+    classes = [f"k{i}" for i in rng.permutation(sum(sizes))]
+    a, b = sizes[0], sizes[0] + sizes[1]
+    splits = ClassSplits(classes[:a], classes[a:b], classes[b:])
+    draws = classes + [classes[i] for i in rng.integers(0, len(classes), size=40)]
+    labels = tuple(rng.permutation(draws).tolist())
+    features = rng.normal(size=(len(labels), 5))
+    features[:, 0] = np.arange(len(labels))  # the row number, to find rows again
+    dataset = SplitDataset(tuple(f"i{i}" for i in range(len(labels))),
+                           features, labels, splits)
+    embeddings = ClassEmbeddingSet(tuple(sorted(classes)),
+                                   rng.normal(size=(len(classes), 4)),
+                                   (("word", 0, 4),))
+    return dataset, embeddings, CompatModel(rng.normal(size=(6, 5)))
+
+
+class TestClassCodes:
+    """The codes SplitDataset keeps against walks over the string labels."""
+
+    @pytest.mark.parametrize("sizes", [(4, 2, 3), (1, 0, 8), (0, 9, 0), (3, 3, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subsets_partition_the_rows(self, seed, sizes):
+        dataset, _, _ = shuffled_problem(seed, sizes)
+        covered = []
+        for split in SPLIT_NAMES:
+            classes = dataset.splits.classes(split)
+            X, label_idx = dataset.subset(split)
+            rows = X[:, 0].astype(int).tolist()
+            assert rows == [i for i, l in enumerate(dataset.labels) if l in classes]
+            assert X.tobytes() == dataset.features[rows].tobytes()
+            assert label_idx.tolist() == [classes.index(dataset.labels[r])
+                                          for r in rows]
+            covered += rows
+        assert sorted(covered) == list(range(len(dataset.labels)))
+
+    @pytest.mark.parametrize("split", ["zsl_validation", "zsl_test"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evaluate_zsl_matches_string_walk(self, seed, split):
+        dataset, embeddings, model = shuffled_problem(seed)
+        classes = dataset.splits.classes(split)
+        rows = [i for i, l in enumerate(dataset.labels) if l in classes]
+        S = score_matrix(model, dataset.features[rows], embeddings.select(classes))
+        expected = normalized_accuracy([classes[k] for k in np.argmax(S, axis=1)],
+                                       [dataset.labels[i] for i in rows])
+        got = evaluate_zsl(model, dataset, embeddings, split)
+        assert got == expected
+        assert list(got.per_class_accuracy) == list(expected.per_class_accuracy)
+        assert list(got.confusion) == list(expected.confusion)
 
 
 FAST = TrainConfig(batch_size=50, max_iterations=300, eval_every=100, seed=3,

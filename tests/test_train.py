@@ -180,6 +180,24 @@ class TestTrain:
             SplitDataset(("i0",), rng.normal(size=(1, 3)), ("c0",), splits)
         assert "c1" in str(exc.value)
 
+    @pytest.mark.parametrize("validation", [(), ("c9",)],
+                             ids=["no_classes", "classes_without_instances"])
+    def test_empty_validation_refused_before_training(self, validation,
+                                                      monkeypatch):
+        dataset, embeddings = tiny_problem()
+        splits = ClassSplits(dataset.splits.seen, validation,
+                             dataset.splits.zsl_validation + dataset.splits.zsl_test)
+        dataset = SplitDataset(dataset.ids, dataset.features, dataset.labels, splits)
+
+        def no_iteration(*args):
+            raise AssertionError("training ran an iteration")
+
+        monkeypatch.setattr(kernels, "nll_and_grad", no_iteration)
+        cfg = TrainConfig(batch_size=4, max_iterations=10, eval_every=5)
+        with pytest.raises(SplitViolationError,
+                           match="^split 'zsl_validation' has no instances$"):
+            train(dataset, embeddings, cfg)
+
     def test_embedding_coverage_gap(self):
         dataset, embeddings = tiny_problem()
         partial = ClassEmbeddingSet(embeddings.class_names[:3],
@@ -218,8 +236,10 @@ class TestTrain:
 def reference_training_run(dataset, embeddings, cfg):
     """The Adam loop of train() with the functional adam_step and a full
     mask product, returning W_e after the last iteration."""
-    _, X, labels = dataset.subset("seen")
     classes = dataset.splits.seen
+    rows = [i for i, l in enumerate(dataset.labels) if l in classes]
+    X = dataset.features[rows]
+    labels = [dataset.labels[i] for i in rows]
     label_idx = np.asarray([classes.index(l) for l in labels])
     Phi_e = extend_embedding(X)
     Psi_e = extend_embedding(embeddings.select(classes))
@@ -252,6 +272,20 @@ class TestInPlaceTraining:
         cfg = TrainConfig(batch_size=4, max_iterations=15, eval_every=15,
                           seed=6, learning_rate=0.05,
                           use_wx=use_wx, use_wy=use_wy)
+        report = train(dataset, embeddings, cfg)
+        expected = reference_training_run(dataset, embeddings, cfg)
+        assert report.model.W_e.tobytes() == expected.tobytes()
+
+    def test_unbalanced_shuffled_rows_match_reference(self):
+        # Seen classes of 3 and 7 rows in shuffled order, so the oversampled
+        # pool depends on each row's class and on first-appearance order.
+        dataset, embeddings = tiny_problem(seed=14, per_class=7)
+        rows = np.random.default_rng(15).permutation(np.arange(4, 42))
+        dataset = SplitDataset(tuple(dataset.ids[i] for i in rows),
+                               dataset.features[rows],
+                               tuple(dataset.labels[i] for i in rows), dataset.splits)
+        cfg = TrainConfig(batch_size=4, max_iterations=15, eval_every=15,
+                          seed=6, learning_rate=0.05)
         report = train(dataset, embeddings, cfg)
         expected = reference_training_run(dataset, embeddings, cfg)
         assert report.model.W_e.tobytes() == expected.tobytes()
