@@ -157,11 +157,7 @@ class TestEvaluateZsl:
         with pytest.raises(ValueError):
             evaluate_zsl(model, dataset, embeddings, "seen")
 
-    @pytest.mark.parametrize("test_classes,error,message", [
-        ((), EmptyClassSetError, "split 'zsl_test' has no classes"),
-        (("c",), AlignmentError, "split 'zsl_test' has no instances to score"),
-    ], ids=["no_classes", "classes_without_instances"])
-    def test_empty_split(self, test_classes, error, message, monkeypatch):
+    def check_empty_split(self, test_classes, error, message, monkeypatch):
         rng = np.random.default_rng(5)
         splits = ClassSplits(("a",), ("b",), test_classes)
         dataset = SplitDataset(("i0", "i1"), rng.normal(size=(2, 3)),
@@ -178,6 +174,15 @@ class TestEvaluateZsl:
         monkeypatch.setattr(sys.modules["zslkit.train"], "train", no_training)
         with pytest.raises(error, match=f"^{message}$"):
             ablate_linear_terms(dataset, emb, FAST, eval_split="zsl_test")
+
+    def test_empty_split(self, monkeypatch):
+        self.check_empty_split((), EmptyClassSetError,
+                               "split 'zsl_test' has no classes", monkeypatch)
+
+    def test_split_classes_without_instances(self, monkeypatch):
+        self.check_empty_split(("c",), AlignmentError,
+                               "split 'zsl_test' has no instances to score",
+                               monkeypatch)
 
 
 def shuffled_problem(seed, sizes=(4, 2, 3)):
