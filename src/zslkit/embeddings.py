@@ -253,6 +253,11 @@ class WordVectorTable:
         return token in self.vectors
 
 
+def _check_word_policy(policy: str) -> None:
+    if policy not in WORD_POLICIES:
+        raise ConfigError(f"policy must be one of {WORD_POLICIES}, got {policy!r}")
+
+
 def encode_words(table: WordVectorTable, common_name: str,
                  policy: str = "strict") -> np.ndarray:
     """Arithmetic mean of per-token vectors for the tokens of a common name.
@@ -260,8 +265,7 @@ def encode_words(table: WordVectorTable, common_name: str,
     policy='strict' requires every token in the table; 'skip-missing' averages
     over the tokens that are present and fails only when none are.
     """
-    if policy not in WORD_POLICIES:
-        raise ConfigError(f"policy must be one of {WORD_POLICIES}, got {policy!r}")
+    _check_word_policy(policy)
     tokens = tokenize_name(common_name)
     if not tokens:
         raise OutOfVocabularyError(
@@ -344,6 +348,9 @@ class EmbeddingSources:
     word_table: WordVectorTable | None = None
     common_names: Mapping[str, str] = field(default_factory=dict)
     word_policy: str = "strict"
+
+    def __post_init__(self):
+        _check_word_policy(self.word_policy)
 
 
 def build_class_embeddings(classes: Sequence[str], sources: Sequence[str],

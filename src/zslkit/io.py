@@ -3,7 +3,8 @@
 All data files are line-oriented UTF-8 text with explicit headers so they
 diff cleanly; only model checkpoints use a compact binary layout. Only the
 newline character ends a line, and a carriage return before it is stripped;
-other line-break characters are whitespace within a line. Formats:
+other line-break characters are whitespace within a line. Text files are read
+one line at a time. Formats:
 
   features     header `d=<int> n=<int> normalized=<0|1>`, then `id v1 ... vd`
   labels       `id<TAB>class_label`
@@ -24,6 +25,7 @@ Floats are written with repr() and therefore round-trip bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -61,43 +63,85 @@ def _fmt_layout(layout) -> str:
     return ";".join(f"{tag}:{off}:{ln}" for tag, off, ln in layout)
 
 
-def _read_text(path) -> str:
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
-                         "not valid UTF-8 text") from None
+class _TextLines:
+    """The non-blank lines of a UTF-8 text file as (1-based line number,
+    stripped line), read one line at a time, so a load holds one line and not
+    the file. Lines end at b"\\n"; no multibyte UTF-8 sequence contains that
+    byte, so each line decodes as it would within the whole file.
 
+    As a `with` block it reports errors in the order a parse of the whole
+    decoded file gave them: a byte that is not UTF-8 anywhere in the file,
+    then a header whose row count the file does not have (`expect_rows`),
+    then the error the block raised."""
 
-def _data_lines(path):
-    """Yield (1-based line number, stripped line), skipping blanks."""
-    for no, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            yield no, line
+    def __init__(self, path):
+        self.path = path
+        self.read = 0  # lines yielded so far
+        self._expect = None  # (header line, declared rows, lines read before them)
+        self._file = open(path, "rb")
+        self._lines = self._decode()
+
+    def _decode(self):
+        for no, raw in enumerate(self._file, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ParseError(self.path, no, "not valid UTF-8 text") from None
+            if line:
+                self.read += 1
+                yield no, line
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._lines)
+
+    def expect_rows(self, line: int, n: int) -> None:
+        """The lines after those read so far must number `n`, as the header at
+        `line` declares. Checked when the block ends, before its own error."""
+        self._expect = (line, n, self.read)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        with self._file:
+            if exc is not None and not isinstance(exc, ZslError):
+                return
+            if exc is not None:  # the block may have stopped before a bad byte
+                self._file.seek(0)
+                self.read, self._lines = 0, self._decode()
+            for _ in self:
+                pass
+            if self._expect is not None:
+                line, n, before = self._expect
+                if self.read - before != n:
+                    raise ParseError(self.path, line, f"header declares n={n} but "
+                                                      f"file has {self.read - before} rows")
 
 
 def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _tab_pairs(path, usage: str):
+def _tab_pairs(lines: _TextLines, usage: str):
     """Yield (line number, key, value) for `key<TAB>value` lines."""
-    for no, line in _data_lines(path):
+    for no, line in lines:
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ParseError(path, no, f"expected '{usage}'")
+            raise ParseError(lines.path, no, f"expected '{usage}'")
         yield no, parts[0], parts[1]
 
 
 def _read_pairs(path, usage: str, key_kind: str) -> dict[str, str]:
     """Parse `key<TAB>value` lines into a dict, refusing repeated keys."""
     out: dict[str, str] = {}
-    for no, key, value in _tab_pairs(path, usage):
-        if key in out:
-            raise ParseError(path, no, f"duplicate {key_kind} {key!r}")
-        out[key] = value
+    with _TextLines(path) as lines:
+        for no, key, value in _tab_pairs(lines, usage):
+            if key in out:
+                raise ParseError(path, no, f"duplicate {key_kind} {key!r}")
+            out[key] = value
     return out
 
 
@@ -105,10 +149,12 @@ def _write_pairs(path, pairs: Mapping[str, str]) -> None:
     _write_lines(path, (f"{k}\t{v}" for k, v in pairs.items()))
 
 
-def _header(path, line, usage: str, rows: int) -> dict[str, int]:
+def _header(lines: _TextLines, line, usage: str) -> dict[str, int]:
     """The integer fields of a `d=<int> n=<int> normalized=<0|1>` or
     `m=<int> n=<int>` header line, whose keys `usage` spells. The first key
-    is the row width and must be >= 1; `n` must count the `rows` below."""
+    is the row width and must be >= 1; `n` must count the lines after those
+    read so far."""
+    path = lines.path
     no, text = line
     keys = [tok.split("=", 1)[0] for tok in usage.split()]
     fields = dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
@@ -121,86 +167,86 @@ def _header(path, line, usage: str, rows: int) -> dict[str, int]:
         raise ParseError(path, no, f"header needs {width} >= 1, got {width}={out[width]}")
     if out.get("normalized", 0) not in (0, 1):
         raise ParseError(path, no, f"header needs normalized=0 or 1, got {out['normalized']}")
-    if out["n"] != rows:
-        raise ParseError(path, no, f"header declares n={out['n']} but file has {rows} rows")
+    lines.expect_rows(no, out["n"])
     return out
 
 
 def _convert_body(lines, width: int | None, sep: str | None):
-    """numpy's C text reader over the rows' value texts: (line_of, matrix)
-    when it converts every line to a row of the expected width, else None.
-    Its float conversion gives the bits float() gives, and it splits values
-    on the whitespace str.split() splits on; tokens only float() reads, such
-    as `1_0`, make it raise. Each value text is one row (the reader refuses
-    an embedded carriage return), so n rows mean every line was read.
-    `max_rows` makes the reader allocate the matrix once instead of growing
-    it."""
+    """numpy's C text reader over the rows' value texts, fed one line at a
+    time: (line_of, matrix) when it converts every line left in `lines` to a
+    row of the expected width, else None. Its float conversion gives the bits
+    float() gives, and it splits values on the whitespace str.split() splits
+    on; tokens only float() reads, such as `1_0`, make it raise. Each value
+    text is one row (the reader refuses an embedded carriage return). The
+    reader grows the matrix as it goes: a header's row count is not an
+    allocation size."""
     line_of: dict[str, int] = {}  # label -> line number, in file order
 
     def value_texts():
-        # Stops at a line with no value text (with a tab sep: not exactly one
-        # tab) or a repeated label; the row loop then reports that line.
+        # A line with no value text (with a tab sep: not exactly one tab) or
+        # a repeated label stops the reader; the row loop then reports it.
         for no, line in lines:
             parts = line.split(sep) if sep else line.split(None, 1)
             if len(parts) != 2 or parts[0] in line_of:
-                return
+                raise ValueError
             line_of[parts[0]] = no
             yield parts[1]
 
     try:
         with warnings.catch_warnings():
-            # loadtxt warns when value_texts stops at the first line
+            # loadtxt warns when the body is empty
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             matrix = np.loadtxt(value_texts(), dtype=np.float64, comments=None,
-                                ndmin=2, max_rows=len(lines))
+                                ndmin=2)
     except ValueError:
         return None
-    if matrix.shape != (len(lines), width or matrix.shape[1]):
+    if matrix.shape != (len(line_of), width or matrix.shape[1]):
         return None
     return line_of, matrix
 
 
-def _read_rows_loop(path, lines, width: int | None, kind: str, sep: str | None):
-    """Row by row, the same conversion as _convert_body, raising ParseError at
-    the first line that breaks the format. Each row's width is checked before
-    the matrix is allocated, so a header cannot ask for more memory than the
-    file holds."""
+def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | None):
+    """Row by row, the same conversion as _convert_body over the lines after
+    the first `skip`, read again from the file, raising ParseError at the
+    first line that breaks the format. Each row's width is checked before its
+    values are kept, so a header cannot ask for more memory than the file
+    holds."""
     line_of: dict[str, int] = {}  # label -> line number, in file order
-    matrix = np.empty((0, width or 0), dtype=np.float64)
-    for r, (no, line) in enumerate(lines):
-        if sep is None:
-            label, *values = line.split()
-        else:
-            parts = line.split(sep)
-            if len(parts) != 2:
-                raise ParseError(path, no, f"expected '{kind}<TAB>v1 v2 ...'")
-            label, values = parts[0], parts[1].split()
-        if width is None:
-            width = len(values) or 1  # a label alone is a short row
-        if len(values) != width:
-            raise ParseError(path, no, f"expected {kind} plus {width} value(s), "
-                                       f"got {len(values)}")
-        if label in line_of:
-            raise ParseError(path, no, f"duplicate {kind} {label!r}")
-        if r == 0:
-            matrix = np.empty((len(lines), width), dtype=np.float64)
-        line_of[label] = no
-        try:
-            matrix[r] = [float(v) for v in values]
-        except ValueError:
-            raise ParseError(path, no, f"non-numeric value in {kind} row") from None
-    return line_of, matrix
+    rows: list[list[float]] = []
+    with _TextLines(path) as lines:
+        for no, line in itertools.islice(lines, skip, None):
+            if sep is None:
+                label, *values = line.split()
+            else:
+                parts = line.split(sep)
+                if len(parts) != 2:
+                    raise ParseError(path, no, f"expected '{kind}<TAB>v1 v2 ...'")
+                label, values = parts[0], parts[1].split()
+            if width is None:
+                width = len(values) or 1  # a label alone is a short row
+            if len(values) != width:
+                raise ParseError(path, no, f"expected {kind} plus {width} value(s), "
+                                           f"got {len(values)}")
+            if label in line_of:
+                raise ParseError(path, no, f"duplicate {kind} {label!r}")
+            line_of[label] = no
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError:
+                raise ParseError(path, no, f"non-numeric value in {kind} row") from None
+    return line_of, np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
 
 
-def _read_rows(path, lines, width: int | None, kind: str, sep: str | None = None):
-    """Parse `label<sep>v1 ... vN` lines (whitespace between the values) into
-    the labels, an (n, N) float64 matrix and each row's line number. N is
-    `width`, or the first row's length when `width` is None. A clean body is
-    converted in one pass of numpy's text reader; any other body goes through
-    the row loop, which names the first bad line. Labels must be unique and
-    values finite."""
+def _read_rows(lines: _TextLines, width: int | None, kind: str, sep: str | None = None):
+    """Parse the `label<sep>v1 ... vN` lines left in `lines` (whitespace
+    between the values) into the labels, an (n, N) float64 matrix and each
+    row's line number. N is `width`, or the first row's length when `width`
+    is None. A clean body is converted by numpy's text reader as it is read;
+    any other body is read again by the row loop, which names the first bad
+    line. Labels must be unique and values finite."""
+    path, skip = lines.path, lines.read
     line_of, matrix = (_convert_body(lines, width, sep)
-                       or _read_rows_loop(path, lines, width, kind, sep))
+                       or _read_rows_loop(path, skip, width, kind, sep))
     row_lines = list(line_of.values())
     finite_rows = np.isfinite(matrix).all(axis=1)
     if not finite_rows.all():
@@ -249,19 +295,20 @@ def l2_normalize_rows(matrix: np.ndarray, ids=None) -> np.ndarray:
 
 
 def load_features(path, l2_normalize: bool = False) -> FeatureSet:
-    lines = list(_data_lines(path))
-    if not lines:
-        raise ParseError(path, 1, "empty feature file")
-    header = _header(path, lines[0], "d=<int> n=<int> normalized=<0|1>", len(lines) - 1)
-    ids, rows, row_lines = _read_rows(path, lines[1:], header["d"], "instance id")
-    normalized = header["normalized"] == 1
-    if normalized:
-        norms = np.linalg.norm(rows, axis=1)
-        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
-        if off.size:
-            raise ParseError(path, row_lines[off[0]],
-                             f"row {ids[off[0]]!r} declared normalized but has "
-                             f"norm {norms[off[0]]!r}")
+    with _TextLines(path) as lines:
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(path, 1, "empty feature file")
+        header = _header(lines, first, "d=<int> n=<int> normalized=<0|1>")
+        ids, rows, row_lines = _read_rows(lines, header["d"], "instance id")
+        normalized = header["normalized"] == 1
+        if normalized:
+            norms = np.linalg.norm(rows, axis=1)
+            off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+            if off.size:
+                raise ParseError(path, row_lines[off[0]],
+                                 f"row {ids[off[0]]!r} declared normalized but has "
+                                 f"norm {norms[off[0]]!r}")
     if l2_normalize:
         rows = l2_normalize_rows(rows, ids)
         normalized = True
@@ -291,24 +338,25 @@ def load_splits(path) -> ClassSplits:
     cross-section overlap is semantic and left to ClassSplits checks."""
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    for no, line in _data_lines(path):
-        if line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            if name not in SPLIT_NAMES:
-                raise ParseError(path, no, f"unknown section {name!r}")
-            if name in sections:
-                raise ParseError(path, no, f"duplicate section {name!r}")
-            sections[name] = []
-            current = name
-        else:
-            if current is None:
-                raise ParseError(path, no, "class name before any section header")
-            if line in sections[current]:
-                raise ParseError(path, no,
-                                 f"class {line!r} listed twice in [{current}]")
-            sections[current].append(line)
+    with _TextLines(path) as lines:
+        for no, line in lines:
+            if line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                name = line[1:-1]
+                if name not in SPLIT_NAMES:
+                    raise ParseError(path, no, f"unknown section {name!r}")
+                if name in sections:
+                    raise ParseError(path, no, f"duplicate section {name!r}")
+                sections[name] = []
+                current = name
+            else:
+                if current is None:
+                    raise ParseError(path, no, "class name before any section header")
+                if line in sections[current]:
+                    raise ParseError(path, no,
+                                     f"class {line!r} listed twice in [{current}]")
+                sections[current].append(line)
     missing = [s for s in SPLIT_NAMES if s not in sections]
     if missing:
         raise ParseError(path, 1, f"missing section(s) {missing}")
@@ -347,10 +395,10 @@ def load_dataset(features_path, labels_path, splits_path,
 # ---------------------------------------------------------------------------
 
 def load_word_vectors(path) -> WordVectorTable:
-    lines = list(_data_lines(path))
-    if not lines:
+    with _TextLines(path) as lines:
+        tokens, matrix, _ = _read_rows(lines, None, "token")
+    if not tokens:
         raise ParseError(path, 1, "empty word-vector file")
-    tokens, matrix, _ = _read_rows(path, lines, None, "token")
     return WordVectorTable(matrix.shape[1], dict(zip(tokens, matrix)))
 
 
@@ -359,8 +407,9 @@ def save_word_vectors(path, table: WordVectorTable) -> None:
 
 
 def load_taxonomy(path) -> TaxonomyTree:
-    edges = [(child, parent) for _, child, parent
-             in _tab_pairs(path, "child_label<TAB>parent_label")]
+    with _TextLines(path) as lines:
+        edges = [(child, parent) for _, child, parent
+                 in _tab_pairs(lines, "child_label<TAB>parent_label")]
     if not edges:
         raise ParseError(path, 1, "empty taxonomy file")
     return TaxonomyTree.from_edges(edges)
@@ -380,8 +429,9 @@ def save_leaf_map(path, leaf_map: Mapping[str, str]) -> None:
 
 
 def load_attribute_schema(path) -> AttributeSchema:
-    attrs = [(name, tuple(v.strip() for v in values.split(",") if v.strip()))
-             for _, name, values in _tab_pairs(path, "attribute<TAB>v1,v2,...")]
+    with _TextLines(path) as lines:
+        attrs = [(name, tuple(v.strip() for v in values.split(",") if v.strip()))
+                 for _, name, values in _tab_pairs(lines, "attribute<TAB>v1,v2,...")]
     if not attrs:
         raise ParseError(path, 1, "empty attribute schema file")
     return AttributeSchema(tuple(attrs))
@@ -394,21 +444,22 @@ def save_attribute_schema(path, schema: AttributeSchema) -> None:
 
 def load_attribute_assignments(path) -> dict[str, AttributeAssignment]:
     out: dict[str, AttributeAssignment] = {}
-    for no, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise ParseError(path, no,
-                             "expected 'class<TAB>attr=v1,v2<TAB>...'")
-        name = parts[0]
-        if name in out:
-            raise ParseError(path, no, f"duplicate class {name!r}")
-        chosen: dict[str, frozenset[str]] = {}
-        for field in parts[1:]:
-            if "=" not in field:
-                raise ParseError(path, no, f"field {field!r} lacks '='")
-            attr, values = field.split("=", 1)
-            chosen[attr] = frozenset(v.strip() for v in values.split(",") if v.strip())
-        out[name] = AttributeAssignment(name, chosen)
+    with _TextLines(path) as lines:
+        for no, line in lines:
+            parts = line.split("\t")
+            if len(parts) < 2:
+                raise ParseError(path, no,
+                                 "expected 'class<TAB>attr=v1,v2<TAB>...'")
+            name = parts[0]
+            if name in out:
+                raise ParseError(path, no, f"duplicate class {name!r}")
+            chosen: dict[str, frozenset[str]] = {}
+            for field in parts[1:]:
+                if "=" not in field:
+                    raise ParseError(path, no, f"field {field!r} lacks '='")
+                attr, values = field.split("=", 1)
+                chosen[attr] = frozenset(v.strip() for v in values.split(",") if v.strip())
+            out[name] = AttributeAssignment(name, chosen)
     return out
 
 
@@ -426,21 +477,22 @@ def save_attribute_assignments(path, assignments: Mapping[str, AttributeAssignme
 # ---------------------------------------------------------------------------
 
 def load_class_embeddings(path) -> ClassEmbeddingSet:
-    lines = list(_data_lines(path))
-    if len(lines) < 2:
-        raise ParseError(path, 1, "embedding file needs two header lines")
-    header = _header(path, lines[0], "m=<int> n=<int>", len(lines) - 2)
-    h2_no, h2 = lines[1]
-    if not h2.startswith("blocks="):
-        raise ParseError(path, h2_no, "second header line must be 'blocks=...'")
-    layout = []
-    for item in h2[len("blocks="):].split(";"):
-        try:
-            tag, off, ln = item.split(":")
-            layout.append((tag, int(off), int(ln)))
-        except ValueError:
-            raise ParseError(path, h2_no, f"bad block spec {item!r}") from None
-    names, matrix, _ = _read_rows(path, lines[2:], header["m"], "class", sep="\t")
+    with _TextLines(path) as lines:
+        first, second = next(lines, None), next(lines, None)
+        if second is None:
+            raise ParseError(path, 1, "embedding file needs two header lines")
+        header = _header(lines, first, "m=<int> n=<int>")
+        h2_no, h2 = second
+        if not h2.startswith("blocks="):
+            raise ParseError(path, h2_no, "second header line must be 'blocks=...'")
+        layout = []
+        for item in h2[len("blocks="):].split(";"):
+            try:
+                tag, off, ln = item.split(":")
+                layout.append((tag, int(off), int(ln)))
+            except ValueError:
+                raise ParseError(path, h2_no, f"bad block spec {item!r}") from None
+        names, matrix, _ = _read_rows(lines, header["m"], "class", sep="\t")
     return ClassEmbeddingSet(names, matrix, tuple(layout))
 
 
@@ -486,12 +538,14 @@ def layout_mismatch(checkpoint_path, checkpoint: Checkpoint,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if not blob.startswith(_CHECKPOINT_MAGIC):
-        raise ParseError(path, 1, "not a checkpoint file (bad magic)")
-    rest = blob[len(_CHECKPOINT_MAGIC):]
+    with open(path, "rb") as f:
+        if f.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:
+            raise ParseError(path, 1, "not a checkpoint file (bad magic)")
+        meta_line = f.readline()
+        raw = f.read()
     try:
-        meta_line, raw = rest.split(b"\n", 1)
+        if not meta_line.endswith(b"\n"):
+            raise ValueError
         meta = json.loads(meta_line.decode("utf-8"))
         d, m = int(meta["d"]), int(meta["m"])
         if d < 1 or m < 1:
@@ -559,19 +613,20 @@ def parse_config_entry(key: str, raw: str):
 
 def load_config(path) -> dict:
     out: dict = {}
-    for no, line in _data_lines(path):
-        if line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(path, no, "expected 'key=value'")
-        key, raw = line.split("=", 1)
-        key, raw = key.strip(), raw.strip()
-        if key in out:
-            raise ParseError(path, no, f"duplicate config key {key!r}")
-        try:
-            out[key] = parse_config_entry(key, raw)
-        except ConfigError as exc:
-            raise ParseError(path, no, str(exc)) from None
+    with _TextLines(path) as lines:
+        for no, line in lines:
+            if line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(path, no, "expected 'key=value'")
+            key, raw = line.split("=", 1)
+            key, raw = key.strip(), raw.strip()
+            if key in out:
+                raise ParseError(path, no, f"duplicate config key {key!r}")
+            try:
+                out[key] = parse_config_entry(key, raw)
+            except ConfigError as exc:
+                raise ParseError(path, no, str(exc)) from None
     return out
 
 

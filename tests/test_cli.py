@@ -245,6 +245,19 @@ def huge_embedding_dimension(tmp):
     return "embeddings.txt:3:"
 
 
+def huge_feature_row_count(tmp):
+    # rows are counted as they are read; n is never an allocation size
+    d = (tmp / "features.txt").read_text().split(" ", 1)[0]
+    replace_first_line(tmp / "features.txt", f"{d} n=1000000000000 normalized=1")
+    return "features.txt:1: header declares n=1000000000000 but file has"
+
+
+def huge_embedding_row_count(tmp):
+    m = (tmp / "embeddings.txt").read_text().split(" ", 1)[0]
+    replace_first_line(tmp / "embeddings.txt", f"{m} n=1000000000000")
+    return "embeddings.txt:1: header declares n=1000000000000 but file has"
+
+
 def normalized_flag_two(tmp):
     header = (tmp / "features.txt").read_text().split("\n", 1)[0]
     replace_first_line(tmp / "features.txt", header.rsplit("=", 1)[0] + "=2")
@@ -312,7 +325,8 @@ class TestMalformedInputs:
         corrupt_labels_encoding, negative_feature_dimension,
         negative_embedding_dimension, nan_feature_value, checkpoint_meta_not_object,
         checkpoint_meta_bad_layout, checkpoint_meta_negative_shape,
-        huge_feature_dimension, huge_embedding_dimension, normalized_flag_two,
+        huge_feature_dimension, huge_embedding_dimension, huge_feature_row_count,
+        huge_embedding_row_count, normalized_flag_two,
         repeated_class_row, checkpoint_meta_infinite_dimension, form_feed_inside_a_row,
         nan_checkpoint_entry])
     def test_single_error_line(self, experiment, capsys, corrupt):
@@ -348,7 +362,8 @@ class TestBadSettings:
     @pytest.mark.parametrize("command,setting", [
         ("eval", "eval_split=bogus"), ("eval", "eval_split=seen"),
         ("predict", "eval_split=bogus"), ("ablate", "eval_split=bogus"),
-        ("train", "word_policy=bogus"), ("embed", "word_policy=bogus")])
+        ("train", "word_policy=bogus"), ("embed", "word_policy=bogus"),
+        ("ablate", "word_policy=bogus")])
     def test_single_error_line(self, experiment, capsys, monkeypatch,
                                command, setting):
         tmp, config = experiment

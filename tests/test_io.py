@@ -1,9 +1,12 @@
 import json
+import pickle
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synthdata import block_signal_problem, write_experiment_files
 from zslkit import io
@@ -237,6 +240,13 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="magic"):
             io.load_checkpoint(p)
 
+    def test_metadata_line_without_newline(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(b"ZSLCKPT1\n" + json.dumps({"d": 1, "m": 1}).encode())
+        with pytest.raises(ParseError, match="bad checkpoint metadata") as exc:
+            io.load_checkpoint(p)
+        assert exc.value.line == 2
+
     def test_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(3)
         model = CompatModel(rng.normal(size=(3, 3)))
@@ -408,6 +418,126 @@ class TestLoadersOnArbitraryInput:
         path = fuzz_dir / "model.ckpt"
         path.write_bytes(b"ZSLCKPT1\n" + json.dumps(meta).encode() + b"\n" + payload)
         returns_or_refuses(io.load_checkpoint, path)
+
+
+# The whole-file reader the text loaders used before they streamed, kept as
+# the reference for io._TextLines.
+def _read_text(path) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         "not valid UTF-8 text") from None
+
+
+def _data_lines(path):
+    """Yield (1-based line number, stripped line), skipping blanks."""
+    for no, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if line:
+            yield no, line
+
+
+class WholeFileLines:
+    """io._TextLines as the whole-file reader gave it: the file is decoded
+    before any line is parsed, and a header's row count is checked when the
+    header is read."""
+
+    def __init__(self, path):
+        self.path = path
+        self.read = 0
+        self._lines = list(_data_lines(path))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.read == len(self._lines):
+            raise StopIteration
+        self.read += 1
+        return self._lines[self.read - 1]
+
+    def expect_rows(self, line, n):
+        rows = len(self._lines) - self.read
+        if n != rows:
+            raise ParseError(self.path, line, f"header declares n={n} but file has {rows} rows")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def outcome(loader, path):
+    """The pickled value the loader returns, or the type, path, line and
+    message of the ZslError it raises."""
+    try:
+        return pickle.dumps(loader(path))
+    except ZslError as exc:
+        return type(exc), getattr(exc, "path", None), getattr(exc, "line", None), str(exc)
+
+
+class TestStreamedLoaders:
+    """Every text loader reads one line at a time and gives what it gave when
+    it read the whole file first: the same value, or the same error at the
+    same line."""
+
+    @pytest.mark.parametrize("loader", TEXT_LOADERS, ids=lambda f: f.__name__)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.lists(st.sampled_from(FRAGMENTS + [b"\xff", b"\r", b"\r\n"]),
+                         max_size=30).map(b"".join))
+    # line 2 is malformed for most loaders; the bad byte on line 5 is reported
+    @example(data=b"d=1 n=3 normalized=0\tA\nA\nb 1.0\n\n\xff 1.0\n")
+    # the numeric reader meets the bad byte before the rows are all counted
+    @example(data=b"d=1 n=2 normalized=0\na 1.0\n\xff 2.0\n")
+    def test_same_as_whole_file_reader(self, loader, data, fuzz_dir):
+        path = fuzz_dir / f"oracle_{loader.__name__}.txt"
+        path.write_bytes(data)
+        with mock.patch.object(io, "_TextLines", WholeFileLines):
+            expected = outcome(loader, path)
+        assert outcome(loader, path) == expected
+
+
+def traced_peak(load, path):
+    """What `load(path)` returns, and the peak of the memory tracemalloc saw
+    allocated during the call, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = load(path)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadMemory:
+    """A text load holds its result plus about one line of the file, not the
+    file; a checkpoint load holds its payload twice, as bytes and as W_e."""
+
+    def test_features(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "f.txt"
+        io.save_features(path, io.FeatureSet(tuple(f"i{k}" for k in range(800)),
+                                             rng.normal(size=(800, 300)), False))
+        features, peak = traced_peak(io.load_features, path)
+        assert peak <= features.matrix.nbytes + path.stat().st_size // 5
+
+    def test_word_vectors(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "w.txt"
+        io.save_word_vectors(path, WordVectorTable(300, {f"t{k}": rng.normal(size=300)
+                                                         for k in range(1000)}))
+        table, peak = traced_peak(io.load_word_vectors, path)
+        assert peak <= 8 * table.dimension * len(table.vectors) + path.stat().st_size // 5
+
+    def test_checkpoint(self, tmp_path):
+        model = CompatModel(np.random.default_rng(7).normal(size=(301, 201)))
+        path = tmp_path / "m.ckpt"
+        io.save_checkpoint(path, model, ("c",), ())
+        _, peak = traced_peak(io.load_checkpoint, path)
+        assert peak < 3 * model.W_e.nbytes
 
 
 # Body rows of the three labelled-row formats: floats in every spelling
