@@ -284,8 +284,18 @@ class FeatureSet:
         return self.matrix.shape[1]
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(matrix, axis=1)`, taken 256 rows at a time so that the
+    squared entries never fill a temporary as large as the matrix. Each row's
+    norm is reduced on its own, so the values are the same bits."""
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), 256):
+        norms[start:start + 256] = np.linalg.norm(matrix[start:start + 256], axis=1)
+    return norms
+
+
 def l2_normalize_rows(matrix: np.ndarray, ids=None) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
+    norms = _row_norms(matrix)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         which = ids[zero[0]] if ids is not None else f"row {zero[0]}"
@@ -303,7 +313,7 @@ def load_features(path, l2_normalize: bool = False) -> FeatureSet:
         ids, rows, row_lines = _read_rows(lines, header["d"], "instance id")
         normalized = header["normalized"] == 1
         if normalized:
-            norms = np.linalg.norm(rows, axis=1)
+            norms = _row_norms(rows)
             off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
             if off.size:
                 raise ParseError(path, row_lines[off[0]],

@@ -147,7 +147,8 @@ def gradient(model: CompatModel, Phi: np.ndarray, labels: np.ndarray,
     product of the extended image embedding with (posterior-weighted mean
     class embedding minus the true class embedding), summed over the batch."""
     Phi_e, labels, Psi_e = _check_batch(model, Phi, labels, classes)
-    return kernels.nll_and_grad(model.W_e, Phi_e, labels, Psi_e)[1]
+    A = kernels.nll_and_grad(model.W_e, Phi_e, labels, Psi_e)[1]
+    return kernels.gradient(A, Psi_e)
 
 
 def predict(model: CompatModel, phi: np.ndarray, classes) -> int:

@@ -15,7 +15,8 @@ Note eps sits outside the square root.
 
 `adam_step` is the functional form: it returns fresh arrays and leaves its
 inputs alone. `adam_update` applies the same step in place, block by block,
-so a training loop allocates nothing per step.
+and can form each block of the gradient just before it is used, so a
+training loop allocates no full-size array per step.
 """
 
 from __future__ import annotations
@@ -89,16 +90,28 @@ def adam_step(state: AdamState, params: np.ndarray,
     return new_params, new_state
 
 
-def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+def block_rows(row_len: int) -> int:
+    """Rows per block of `adam_update`'s walk over arrays whose rows hold
+    `row_len` elements: about ADAM_BLOCK elements a block, at least one row."""
+    return max(1, ADAM_BLOCK // max(1, row_len))
+
+
+def adam_update(state: AdamState, params: np.ndarray, grad) -> None:
     """One Adam update in place: overwrites `params`, `state.M` and `state.V`
     and advances `state.t`.
 
+    `grad` is the gradient array, or a callable `grad(start, stop, out)`
+    that writes rows [start, stop) of the gradient into `out`, a C-contiguous
+    (stop - start, row length) block; it is called once per block, just
+    before that block's arithmetic, so the full gradient never exists.
+
     Bit-identical to `adam_step`: every element goes through the same
     operations in the same order. The arrays are walked in blocks of
-    ADAM_BLOCK consecutive elements, so each block's temporaries live in two
+    `block_rows` consecutive rows, so each block's temporaries live in two
     reused scratch buffers instead of eight full-size arrays.
     """
-    if params.shape != grad.shape:
+    fill = grad if callable(grad) else None
+    if fill is None and params.shape != grad.shape:
         raise ShapeMismatchError(
             f"gradient shape {grad.shape} does not match parameters {params.shape}")
     if state.M is None or state.V is None:
@@ -113,14 +126,23 @@ def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     state.t += 1
     b1, b2, t = state.beta1, state.beta2, state.t
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    P, M, V = params.reshape(-1), state.M.reshape(-1), state.V.reshape(-1)
-    G = np.ascontiguousarray(grad, dtype=np.float64).reshape(-1)
-    a_buf = np.empty(min(ADAM_BLOCK, P.size))
+    n_rows = params.shape[0] if params.ndim else 1
+    row_len = params.size // n_rows if n_rows else 0
+    P, M, V = (a.reshape(n_rows, row_len) for a in (params, state.M, state.V))
+    step = block_rows(row_len)
+    a_buf = np.empty((min(step, n_rows), row_len))
     b_buf = np.empty_like(a_buf)
-    for start in range(0, P.size, ADAM_BLOCK):
-        stop = min(start + ADAM_BLOCK, P.size)
-        p, m, v, g = P[start:stop], M[start:stop], V[start:stop], G[start:stop]
+    if fill is None:
+        G = np.ascontiguousarray(grad, dtype=np.float64).reshape(n_rows, row_len)
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        p, m, v = P[start:stop], M[start:stop], V[start:stop]
         a, b = a_buf[:stop - start], b_buf[:stop - start]
+        if fill is None:
+            g = G[start:stop]
+        else:
+            g = b  # a filled block is last read before b is next written
+            fill(start, stop, g)
         np.multiply(m, b1, out=m)            # M = b1*M + (1-b1)*g
         np.multiply(g, 1.0 - b1, out=a)
         np.add(m, a, out=m)

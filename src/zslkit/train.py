@@ -25,7 +25,8 @@ from .errors import (
 from .evaluate import SplitDataset, evaluate_zsl
 from .model import CompatModel, extend_embedding
 from .optim import AdamState, SgdState, sgd_step
-# The benchmark's tracer times the optimizer step at `train.adam_step`.
+# The benchmark's tracer times the optimizer step, which also forms the
+# gradient blocks, at `train.adam_step`.
 from .optim import adam_update as adam_step
 from .rng import component_rng
 
@@ -121,15 +122,16 @@ def oversample_indices(labels, seed: int = 0) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def _zero_frozen_terms(A: np.ndarray, config: TrainConfig) -> None:
-    """Zero in place the w_x column and the w_y row of an extended matrix for
-    a linear term the config turns off; the corner bias stays trainable.
-    Multiplying by 0.0 keeps the -0.0 signs of a full `A *= mask` product."""
-    d, m = A.shape[0] - 1, A.shape[1] - 1
+def _zero_frozen_terms(block: np.ndarray, last: int, config: TrainConfig) -> None:
+    """Zero in place, in a row block of an extended matrix, the w_x column and
+    the w_y row of a linear term the config turns off; the corner bias stays
+    trainable. `last` is the block-local index of the matrix's last row (the
+    w_y row), which may lie past the block. Multiplying by 0.0 keeps the -0.0
+    signs of a full `G *= mask` product."""
     if not config.use_wx:
-        A[:d, m] *= 0.0
-    if not config.use_wy:
-        A[d, :m] *= 0.0
+        block[:last, -1] *= 0.0
+    if not config.use_wy and last < len(block):
+        block[last, :-1] *= 0.0
 
 
 def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
@@ -160,7 +162,7 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     Psi_e = extend_embedding(embeddings.select(train_classes))
 
     W_e = init_model(d, m, config.init_scheme, config.seed).W_e
-    _zero_frozen_terms(W_e, config)
+    _zero_frozen_terms(W_e, d, config)
 
     if config.oversample:
         pool = oversample_indices(label_idx, config.seed)
@@ -180,19 +182,26 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     best_accuracy = -1.0
     best_W_e = W_e.copy()
 
+    def fill_grad(start, stop, out):
+        """Rows [start, stop) of this iteration's gradient, frozen terms
+        zeroed; `A` is read from the loop below when called."""
+        kernels.grad_rows(A, Psi_e, start, stop, out)
+        _zero_frozen_terms(out, d - start, config)
+
     # Overflow is reported below as a DivergenceError naming the iteration,
     # so numpy's floating-point warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.max_iterations + 1):
             batch = pool[batch_rng.integers(0, len(pool), size=config.batch_size)]
-            batch_nll, G = kernels.nll_and_grad(W_e, Phi_e[batch], label_idx[batch], Psi_e)
+            batch_nll, A = kernels.nll_and_grad(W_e, Phi_e[batch], label_idx[batch], Psi_e)
             if not math.isfinite(batch_nll):
                 raise DivergenceError(
                     f"training diverged at iteration {t}: batch NLL is {batch_nll!r}")
-            _zero_frozen_terms(G, config)
             if config.optimizer == "adam":
-                adam_step(opt_state, W_e, G)  # in place: W_e and the moments
+                adam_step(opt_state, W_e, fill_grad)  # in place: W_e and the moments
             else:
+                G = kernels.gradient(A, Psi_e)
+                _zero_frozen_terms(G, d, config)
                 W_e = sgd_step(opt_state, W_e, G)
 
             if t % config.eval_every == 0:

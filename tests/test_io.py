@@ -93,6 +93,27 @@ class TestFeatures:
         with pytest.raises(ParseError, match="norm"):
             io.load_features(p)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 5), (256, 4), (600, 37)])
+    def test_chunked_row_norms_bit_identical(self, shape):
+        rng = np.random.default_rng(shape[0])
+        matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=(shape[0], 1))
+        assert (io._row_norms(matrix).tobytes()
+                == np.linalg.norm(matrix, axis=1).tobytes())
+
+    def test_normalized_check_names_row_past_first_chunk(self, tmp_path):
+        rows = np.random.default_rng(9).normal(size=(300, 4))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[280] *= 2.0
+        ids = tuple(f"i{k}" for k in range(300))
+        p = tmp_path / "f.txt"
+        io.save_features(p, io.FeatureSet(ids, rows, True))
+        with pytest.raises(ParseError) as exc:
+            io.load_features(p)
+        assert exc.value.line == 282
+        norm = np.linalg.norm(rows[280])
+        assert str(exc.value).endswith(
+            f"row 'i280' declared normalized but has norm {norm!r}")
+
 
 class TestNonFiniteValues:
     """nan and inf parse as floats; every numeric loader refuses them with
@@ -522,6 +543,16 @@ class TestLoadMemory:
         io.save_features(path, io.FeatureSet(tuple(f"i{k}" for k in range(800)),
                                              rng.normal(size=(800, 300)), False))
         features, peak = traced_peak(io.load_features, path)
+        assert peak <= features.matrix.nbytes + path.stat().st_size // 5
+
+    def test_normalized_features(self, tmp_path):
+        rows = np.random.default_rng(5).normal(size=(800, 300))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        path = tmp_path / "f.txt"
+        io.save_features(path, io.FeatureSet(tuple(f"i{k}" for k in range(800)),
+                                             rows, True))
+        features, peak = traced_peak(io.load_features, path)
+        assert features.normalized
         assert peak <= features.matrix.nbytes + path.stat().st_size // 5
 
     def test_word_vectors(self, tmp_path):

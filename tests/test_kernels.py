@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zslkit import kernels
-from zslkit.model import CompatModel, nll
+from zslkit.model import CompatModel, gradient, nll
 
 
 def make_case(rng, batch, n_classes, d, m):
@@ -46,6 +46,31 @@ def test_large_scores_do_not_overflow():
     Phi_e = np.array([[1.0, 1.0]])
     Psi_e = np.array([[1.0, 1.0], [0.0, 1.0]])
     with np.errstate(over="raise"):
-        value, G = kernels.nll_and_grad(W_e, Phi_e, np.array([1]), Psi_e)
+        value, _ = kernels.nll_and_grad(W_e, Phi_e, np.array([1]), Psi_e)
+        G = gradient(CompatModel(W_e), Phi_e[:, :-1], [1], Psi_e[:, :-1])
     assert value == pytest.approx(1000.0)
     np.testing.assert_allclose(G, [[1.0, 0.0], [1.0, 0.0]], atol=1e-12)
+
+
+def full_gradient(W_e, Phi_e, labels, Psi_e):
+    """The gradient as the full (d+1) x (m+1) product Phi_e.T @ (R @ Psi_e),
+    R the posteriors minus the one-hot labels."""
+    S = Phi_e @ (W_e @ Psi_e.T)
+    E = np.exp(S - S.max(axis=1, keepdims=True))
+    R = E / E.sum(axis=1, keepdims=True)
+    R[np.arange(len(labels)), labels] -= 1.0
+    return Phi_e.T @ (R @ Psi_e)
+
+
+@pytest.mark.parametrize("d,m", [(2048, 541), (512, 541), (64, 92)])
+def test_factored_gradient_matches_full_product(d, m):
+    rng = np.random.default_rng(d + m)
+    W_e, Phi_e, labels, Psi_e = make_case(rng, 100, 24, d, m)
+    W_e /= np.sqrt(d * m)  # scores of order one, so no posterior saturates
+    _, A = kernels.nll_and_grad(W_e, Phi_e, labels, Psi_e)
+    assert A.shape == (d + 1, 24)
+    G = kernels.gradient(A, Psi_e)
+    expected = full_gradient(W_e, Phi_e, labels, Psi_e)
+    assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
+    model_G = gradient(CompatModel(W_e), Phi_e[:, :-1], labels, Psi_e[:, :-1])
+    assert model_G.tobytes() == G.tobytes()

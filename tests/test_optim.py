@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zslkit import kernels
 from zslkit.errors import ShapeMismatchError
 from zslkit.optim import AdamState, SgdState, adam_step, sgd_step
 from zslkit.optim import ADAM_BLOCK, adam_update
@@ -173,6 +175,42 @@ class TestAdamUpdate:
             adam_update(state, p, G)
         np.testing.assert_array_equal(
             p, adam_reference(0.05, 0.9, 0.999, 1e-8, params, grads))
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_block_filled_gradient_bit_identical_to_adam_step(self, shape):
+        rng = np.random.default_rng(7)
+        params = rng.normal(size=shape)
+        ref_p, ref = params, AdamState.for_shape(shape, alpha=0.02)
+        p, state = params.copy(), AdamState.for_shape(shape, alpha=0.02)
+        Psi_e = rng.normal(size=(24, shape[1]))
+        for _ in range(4):
+            A = rng.normal(size=(shape[0], 24)) * 10.0 ** int(rng.integers(-3, 4))
+            ref_p, ref = adam_step(ref, ref_p, kernels.gradient(A, Psi_e))
+            adam_update(state, p, lambda start, stop, out:
+                        kernels.grad_rows(A, Psi_e, start, stop, out))
+        np.testing.assert_array_equal(p, ref_p)
+        np.testing.assert_array_equal(state.M, ref.M)
+        np.testing.assert_array_equal(state.V, ref.V)
+
+    def test_step_holds_no_full_size_temporary(self):
+        # A kernel call and a block-filled update at d=1023, m=160 must peak
+        # below one parameter-sized array; the full gradient alone is one.
+        rng = np.random.default_rng(8)
+        d, m, K, B = 1023, 160, 24, 100
+        W_e = rng.normal(size=(d + 1, m + 1)) / np.sqrt(d * m)
+        Phi_e = np.hstack([rng.normal(size=(B, d)), np.ones((B, 1))])
+        Psi_e = np.hstack([rng.normal(size=(K, m)), np.ones((K, 1))])
+        labels = rng.integers(0, K, size=B)
+        state = AdamState.for_shape(W_e.shape)
+        tracemalloc.start()
+        try:
+            _, A = kernels.nll_and_grad(W_e, Phi_e, labels, Psi_e)
+            adam_update(state, W_e, lambda start, stop, out:
+                        kernels.grad_rows(A, Psi_e, start, stop, out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < W_e.nbytes
 
     def test_lazy_moment_allocation(self):
         state = AdamState(alpha=0.1)
