@@ -7,7 +7,6 @@ from .embeddings import (
     AttributeSchema,
     ClassEmbeddingSet,
     EmbeddingSources,
-    TaxonomyNode,
     TaxonomyTree,
     WordVectorTable,
     build_class_embeddings,

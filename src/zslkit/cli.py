@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .embeddings import SOURCE_ORDER, EmbeddingSources, build_class_embeddings
+from .embeddings import (SOURCE_ORDER, EmbeddingSources, build_class_embeddings,
+                         ordered_sources)
 from .errors import AlignmentError, ConfigError, ZslError
 from .evaluate import ablate_embeddings, ablate_linear_terms, evaluate_zsl
 from .model import score_matrix
@@ -51,18 +52,6 @@ def _train_config(cfg: dict) -> TrainConfig:
                           for f in dataclasses.fields(TrainConfig) if f.name in cfg})
 
 
-def _sources_list(cfg: dict) -> tuple[str, ...]:
-    raw = cfg.get("sources", ",".join(SOURCE_ORDER))
-    sources = tuple(s.strip() for s in raw.split(",") if s.strip())
-    unknown = set(sources) - set(SOURCE_ORDER)
-    if unknown:
-        raise ConfigError(f"unknown sources: {sorted(unknown)}")
-    if not sources:
-        raise ConfigError("sources must name at least one of "
-                          + ", ".join(SOURCE_ORDER))
-    return sources
-
-
 def _embedding_sources(cfg: dict, sources) -> EmbeddingSources:
     inputs = EmbeddingSources(word_policy=cfg.get("word_policy", "strict"))
     if "attribute" in sources:
@@ -87,8 +76,9 @@ def _load_dataset(cfg: dict):
 
 def _build_embeddings(cfg: dict):
     _require(cfg, ("splits",), "embedding construction")
+    raw = cfg.get("sources", ",".join(SOURCE_ORDER))
+    sources = ordered_sources(s.strip() for s in raw.split(",") if s.strip())
     splits = io.load_splits(cfg["splits"])
-    sources = _sources_list(cfg)
     inputs = _embedding_sources(cfg, sources)
     return build_class_embeddings(splits.all_classes(), sources, inputs,
                                   normalize_blocks=cfg.get("normalize_blocks", False))

@@ -5,7 +5,7 @@ order:
 
   attribute  multi-hot over the (attribute, value) pairs of a schema
   taxonomy   binary root-to-leaf path indicator over a classification tree
-  word       mean of word vectors for the tokens of the class's common name
+  word       mean of word vectors for the tokens of the class name
 
 All encoders are pure functions over immutable inputs.
 """
@@ -13,7 +13,7 @@ All encoders are pure functions over immutable inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -119,93 +119,62 @@ def encode_attributes(schema: AttributeSchema, assignment: AttributeAssignment) 
     return out
 
 
-@dataclass(frozen=True)
-class TaxonomyNode:
-    id: str
-    label: str
-    parent: str | None
-
-
 class TaxonomyTree:
-    """Rooted tree over taxonomy nodes with a canonical node ordering.
+    """Rooted tree over taxonomy labels with a canonical node ordering.
 
-    The ordering is a pre-order traversal with children visited in
-    lexicographic label order, so encodings do not depend on input file order.
+    Built from (child_label, parent_label) edges; an edge may repeat. The
+    ordering is a pre-order traversal with children visited in lexicographic
+    label order, so encodings do not depend on the order of the edges.
     Root-to-node paths are precomputed during the traversal.
     """
 
-    def __init__(self, nodes: Iterable[TaxonomyNode]):
-        nodes = list(nodes)
-        self._nodes: dict[str, TaxonomyNode] = {}
-        for n in nodes:
-            if n.id in self._nodes:
-                raise MissingNodeError(f"duplicate node id {n.id!r}")
-            self._nodes[n.id] = n
-        roots = [n.id for n in nodes if n.parent is None]
+    def __init__(self, edges: Iterable[tuple[str, str]]):
+        self._parent: dict[str, str | None] = {}
+        children: dict[str, set[str]] = {}
+        for child, parent in edges:
+            if self._parent.setdefault(child, parent) != parent:
+                raise MissingNodeError(f"node {child!r} has two parents: "
+                                       f"{self._parent[child]!r} and {parent!r}")
+            children.setdefault(parent, set()).add(child)
+            children.setdefault(child, set())
+        roots = sorted(set(children) - set(self._parent))
         if len(roots) != 1:
             raise MissingNodeError(
-                f"tree must have exactly one root, found {len(roots)}")
+                f"edge list must yield exactly one root, found {roots}")
         self.root = roots[0]
-        children: dict[str, list[str]] = {n.id: [] for n in nodes}
-        for n in nodes:
-            if n.parent is not None:
-                if n.parent not in self._nodes:
-                    raise MissingNodeError(
-                        f"node {n.id!r} references unknown parent {n.parent!r}")
-                children[n.parent].append(n.id)
-        for ids in children.values():
-            ids.sort(key=lambda i: (self._nodes[i].label, i))
-        self._children = children
+        self._parent[self.root] = None
+        self._children = {node: sorted(ids) for node, ids in children.items()}
 
         # Pre-order walk carrying the ancestor stack; doubles as the
-        # connectivity check (single-parent nodes unreachable from the root
-        # would indicate a cycle or a detached component).
+        # connectivity check (nodes unreachable from the root lie on a cycle).
         order: list[str] = []
         paths: dict[str, tuple[int, ...]] = {}
         stack: list[tuple[str, tuple[int, ...]]] = [(self.root, ())]
         while stack:
             node_id, ancestors = stack.pop()
-            idx = len(order)
+            paths[node_id] = path = ancestors + (len(order),)
             order.append(node_id)
-            path = ancestors + (idx,)
-            paths[node_id] = path
-            for child in reversed(self._children[node_id]):
-                stack.append((child, path))
-        if len(order) != len(nodes):
-            unreachable = sorted(set(self._nodes) - set(order))
+            stack.extend((child, path) for child in reversed(self._children[node_id]))
+        if len(order) != len(self._parent):
+            unreachable = sorted(set(self._parent) - set(order))
             raise MissingNodeError(
-                f"nodes unreachable from root (cycle or detached): {unreachable}")
+                f"nodes unreachable from root (cycle): {unreachable}")
         self.node_order: tuple[str, ...] = tuple(order)
         self._paths = paths
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "TaxonomyTree":
-        """Build from (child_label, parent_label) pairs; labels double as ids."""
-        edges = list(edges)
-        parent_of: dict[str, str] = {}
-        labels: set[str] = set()
-        for child, parent in edges:
-            if child in parent_of and parent_of[child] != parent:
-                raise MissingNodeError(
-                    f"node {child!r} has two parents: {parent_of[child]!r} and {parent!r}")
-            parent_of[child] = parent
-            labels.update((child, parent))
-        roots = sorted(labels - set(parent_of))
-        if len(roots) != 1:
-            raise MissingNodeError(
-                f"edge list must yield exactly one root, found {roots}")
-        nodes = [TaxonomyNode(roots[0], roots[0], None)]
-        nodes += [TaxonomyNode(c, c, p) for c, p in sorted(parent_of.items())]
-        return cls(nodes)
+        """The tree of (child_label, parent_label) pairs; same as the constructor."""
+        return cls(edges)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._parent)
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._nodes
+        return node_id in self._parent
 
     def parent(self, node_id: str) -> str | None:
-        return self._nodes[node_id].parent
+        return self._parent[node_id]
 
     def is_leaf(self, node_id: str) -> bool:
         return not self._children[node_id]
@@ -346,11 +315,62 @@ class EmbeddingSources:
     taxonomy: TaxonomyTree | None = None
     leaf_map: Mapping[str, str] | None = None
     word_table: WordVectorTable | None = None
-    common_names: Mapping[str, str] = field(default_factory=dict)
     word_policy: str = "strict"
 
     def __post_init__(self):
         _check_word_policy(self.word_policy)
+
+
+def ordered_sources(sources: Iterable[str]) -> tuple[str, ...]:
+    """The requested sources in the fixed layout order attribute, taxonomy,
+    word; refuses an unknown source and an empty request."""
+    requested = set(sources)
+    unknown = requested - set(SOURCE_ORDER)
+    if unknown:
+        raise ConfigError(f"unknown sources: {sorted(unknown)}")
+    if not requested:
+        raise ConfigError("sources must name at least one of "
+                          + ", ".join(SOURCE_ORDER))
+    return tuple(s for s in SOURCE_ORDER if s in requested)
+
+
+def _covered(mapping: Mapping[str, object], name: str, source: str):
+    if name not in mapping:
+        raise IncompleteCoverageError(f"class {name!r} missing from source {source!r}")
+    return mapping[name]
+
+
+def _attribute_block(classes: Sequence[str], inputs: EmbeddingSources) -> np.ndarray:
+    if inputs.schema is None or inputs.assignments is None:
+        raise ConfigError("attribute source needs schema and assignments")
+    return np.vstack([encode_attributes(inputs.schema,
+                                        _covered(inputs.assignments, name, "attribute"))
+                      for name in classes])
+
+
+def _taxonomy_block(classes: Sequence[str], inputs: EmbeddingSources) -> np.ndarray:
+    if inputs.taxonomy is None or inputs.leaf_map is None:
+        raise ConfigError("taxonomy source needs a tree and a leaf map")
+    return np.vstack([encode_taxonomy(inputs.taxonomy,
+                                      _covered(inputs.leaf_map, name, "taxonomy"))
+                      for name in classes])
+
+
+def _word_block(classes: Sequence[str], inputs: EmbeddingSources) -> np.ndarray:
+    if inputs.word_table is None:
+        raise ConfigError("word source needs a word-vector table")
+    rows = []
+    for name in classes:
+        try:
+            rows.append(encode_words(inputs.word_table, name, inputs.word_policy))
+        except OutOfVocabularyError as exc:
+            raise IncompleteCoverageError(
+                f"class {name!r} missing from source 'word': {exc}") from exc
+    return np.vstack(rows)
+
+
+_SOURCE_BLOCKS = {"attribute": _attribute_block, "taxonomy": _taxonomy_block,
+                  "word": _word_block}
 
 
 def build_class_embeddings(classes: Sequence[str], sources: Sequence[str],
@@ -359,61 +379,20 @@ def build_class_embeddings(classes: Sequence[str], sources: Sequence[str],
     """Concatenate the requested source blocks for every class.
 
     Sources are always laid out in the fixed order attribute, taxonomy, word,
-    regardless of the order requested. `normalize_blocks` rescales each block
-    of each class to unit length (off by default; the relative scaling of
-    binary vs word blocks is otherwise left as-is).
+    regardless of the order requested; the word block encodes the class
+    name. `normalize_blocks` rescales each block of each class to unit length
+    (off by default; the relative scaling of binary vs word blocks is
+    otherwise left as-is).
     """
-    requested = set(sources)
-    unknown = requested - set(SOURCE_ORDER)
-    if unknown:
-        raise ValueError(f"unknown sources: {sorted(unknown)}")
-    if not requested:
-        raise ValueError("at least one source is required")
-    ordered = [s for s in SOURCE_ORDER if s in requested]
-
-    # Every encoder's block length is fixed by its input, so the layout is
-    # the same for every class.
-    layout, offset = [], 0
-    for source in ordered:
-        if source == "attribute":
-            if inputs.schema is None or inputs.assignments is None:
-                raise ValueError("attribute source needs schema and assignments")
-            length = inputs.schema.n_pairs
-        elif source == "taxonomy":
-            if inputs.taxonomy is None or inputs.leaf_map is None:
-                raise ValueError("taxonomy source needs a tree and a leaf map")
-            length = len(inputs.taxonomy)
-        else:
-            if inputs.word_table is None:
-                raise ValueError("word source needs a word-vector table")
-            length = inputs.word_table.dimension
-        layout.append((source, offset, length))
-        offset += length
-
-    def block(name: str, source: str) -> np.ndarray:
-        if source == "attribute":
-            if name not in inputs.assignments:
-                raise IncompleteCoverageError(
-                    f"class {name!r} missing from source 'attribute'")
-            vec = encode_attributes(inputs.schema, inputs.assignments[name])
-        elif source == "taxonomy":
-            if name not in inputs.leaf_map:
-                raise IncompleteCoverageError(
-                    f"class {name!r} missing from source 'taxonomy'")
-            vec = encode_taxonomy(inputs.taxonomy, inputs.leaf_map[name])
-        else:
-            common = inputs.common_names.get(name, name)
-            try:
-                vec = encode_words(inputs.word_table, common, inputs.word_policy)
-            except OutOfVocabularyError as exc:
-                raise IncompleteCoverageError(
-                    f"class {name!r} missing from source 'word': {exc}") from exc
+    layout, blocks, offset = [], [], 0
+    for source in ordered_sources(sources):
+        block = _SOURCE_BLOCKS[source](classes, inputs)
         if normalize_blocks:
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                vec = vec / norm
-        return vec
-
-    rows = [np.concatenate([block(name, source) for source in ordered])
-            for name in classes]
-    return ClassEmbeddingSet(tuple(classes), np.vstack(rows), tuple(layout))
+            for row in block:
+                norm = float(np.linalg.norm(row))
+                if norm > 0.0:
+                    row /= norm
+        layout.append((source, offset, block.shape[1]))
+        blocks.append(block)
+        offset += block.shape[1]
+    return ClassEmbeddingSet(tuple(classes), np.hstack(blocks), tuple(layout))

@@ -439,12 +439,11 @@ def save_leaf_map(path, leaf_map: Mapping[str, str]) -> None:
 
 
 def load_attribute_schema(path) -> AttributeSchema:
-    with _TextLines(path) as lines:
-        attrs = [(name, tuple(v.strip() for v in values.split(",") if v.strip()))
-                 for _, name, values in _tab_pairs(lines, "attribute<TAB>v1,v2,...")]
+    attrs = _read_pairs(path, "attribute<TAB>v1,v2,...", "attribute")
     if not attrs:
         raise ParseError(path, 1, "empty attribute schema file")
-    return AttributeSchema(tuple(attrs))
+    return AttributeSchema(tuple((name, tuple(v.strip() for v in vals.split(",") if v.strip()))
+                                 for name, vals in attrs.items()))
 
 
 def save_attribute_schema(path, schema: AttributeSchema) -> None:
@@ -468,6 +467,8 @@ def load_attribute_assignments(path) -> dict[str, AttributeAssignment]:
                 if "=" not in field:
                     raise ParseError(path, no, f"field {field!r} lacks '='")
                 attr, values = field.split("=", 1)
+                if attr in chosen:
+                    raise ParseError(path, no, f"class {name!r}: attribute {attr!r} repeated")
                 chosen[attr] = frozenset(v.strip() for v in values.split(",") if v.strip())
             out[name] = AttributeAssignment(name, chosen)
     return out

@@ -19,7 +19,6 @@ from zslkit.embeddings import (
     AttributeSchema,
     ClassEmbeddingSet,
     EmbeddingSources,
-    TaxonomyNode,
     TaxonomyTree,
     WordVectorTable,
 )
@@ -60,11 +59,8 @@ def random_tree(rng, max_nodes=12) -> TaxonomyTree:
     n = int(rng.integers(2, max_nodes + 1))
     perm = rng.permutation(n)
     labels = [f"L{perm[i]:02d}" for i in range(n)]
-    nodes = [TaxonomyNode(labels[0], labels[0], None)]
-    for i in range(1, n):
-        nodes.append(TaxonomyNode(labels[i], labels[i],
-                                  labels[int(rng.integers(0, i))]))
-    return TaxonomyTree(nodes)
+    return TaxonomyTree.from_edges([(labels[i], labels[int(rng.integers(0, i))])
+                                    for i in range(1, n)])
 
 
 def path_by_parent_following(tree: TaxonomyTree, leaf_id: str) -> np.ndarray:

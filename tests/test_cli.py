@@ -363,7 +363,8 @@ class TestBadSettings:
         ("eval", "eval_split=bogus"), ("eval", "eval_split=seen"),
         ("predict", "eval_split=bogus"), ("ablate", "eval_split=bogus"),
         ("train", "word_policy=bogus"), ("embed", "word_policy=bogus"),
-        ("ablate", "word_policy=bogus")])
+        ("ablate", "word_policy=bogus"), ("embed", "sources=bogus"),
+        ("train", "sources=bogus")])
     def test_single_error_line(self, experiment, capsys, monkeypatch,
                                command, setting):
         tmp, config = experiment
@@ -384,6 +385,14 @@ class TestBadSettings:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert repr(setting.split("=")[1]) in err[0]
+
+    def test_sources_refused_before_source_files_load(self, experiment, capsys):
+        tmp, config = experiment
+        (tmp / "word_vectors.txt").unlink()
+        assert main(["embed", "--config", str(config),
+                     "--set", "sources=word,bogus"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown sources: ['bogus']"]
 
 
 class TestLayoutMismatch:

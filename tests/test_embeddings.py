@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from synthdata import path_by_parent_following, random_tree
+from synthdata import block_signal_problem, path_by_parent_following, random_tree
 from zslkit.embeddings import (
+    SOURCE_ORDER,
     AttributeAssignment,
     AttributeSchema,
     EmbeddingSources,
-    TaxonomyNode,
     TaxonomyTree,
     WordVectorTable,
     build_class_embeddings,
@@ -17,13 +17,16 @@ from zslkit.embeddings import (
     tokenize_name,
 )
 from zslkit.errors import (
+    ConfigError,
     IncompleteAssignmentError,
     IncompleteCoverageError,
     MissingNodeError,
     NonLeafError,
     OutOfVocabularyError,
     SchemaMismatchError,
+    ZslError,
 )
+from zslkit.evaluate import EMBEDDING_SUBSETS
 
 
 def assignment(name, **chosen):
@@ -118,15 +121,24 @@ class TestEncodeTaxonomy:
 
     def test_tree_invariants(self):
         with pytest.raises(MissingNodeError):  # two roots
-            TaxonomyTree([TaxonomyNode("r1", "r1", None),
-                          TaxonomyNode("r2", "r2", None)])
-        with pytest.raises(MissingNodeError):  # unknown parent
-            TaxonomyTree([TaxonomyNode("r", "r", None),
-                          TaxonomyNode("a", "a", "ghost")])
+            TaxonomyTree.from_edges([("a", "r1"), ("b", "r2")])
+        with pytest.raises(MissingNodeError):  # two parents
+            TaxonomyTree.from_edges([("a", "r"), ("b", "r"), ("b", "a")])
         with pytest.raises(MissingNodeError):  # cycle, unreachable from root
-            TaxonomyTree([TaxonomyNode("r", "r", None),
-                          TaxonomyNode("a", "a", "b"),
-                          TaxonomyNode("b", "b", "a")])
+            TaxonomyTree.from_edges([("a", "r"), ("b", "c"), ("c", "b")])
+
+    def test_order_ignores_edge_order_and_repeats(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            tree = random_tree(rng, max_nodes=10)
+            edges = [(n, tree.parent(n)) for n in tree.node_order if n != tree.root]
+            edges += [edges[i] for i in rng.integers(0, len(edges), size=3)]
+            shuffled = TaxonomyTree.from_edges(
+                [edges[i] for i in rng.permutation(len(edges))])
+            assert shuffled.node_order == tree.node_order
+            for leaf in tree.leaves():
+                np.testing.assert_array_equal(encode_taxonomy(shuffled, leaf),
+                                              encode_taxonomy(tree, leaf))
 
     def test_parent_following_oracle_small_trees(self):
         rng = np.random.default_rng(1)
@@ -192,6 +204,7 @@ class TestEncodeWords:
         with pytest.raises(ValueError):
             encode_words(table, "oak", policy="ignore")
 
+    @settings(deadline=None, derandomize=True)
     @given(st.permutations(["red", "oak", "tall", "tree"]))
     def test_permutation_invariance(self, tokens):
         table = WordVectorTable(3, {
@@ -200,6 +213,7 @@ class TestEncodeWords:
         base = encode_words(table, "red oak tall tree")
         np.testing.assert_allclose(encode_words(table, " ".join(tokens)), base)
 
+    @settings(deadline=None, derandomize=True)
     @given(st.floats(min_value=-100, max_value=100, allow_nan=False))
     def test_scale_equivariance(self, c):
         vectors = {"scarlet": np.array([0.5, -2.0]), "oak": np.array([1.5, 3.0])}
@@ -282,3 +296,46 @@ class TestBuildClassEmbeddings:
             build_class_embeddings(("ClassA",), (), tiny_sources())
         with pytest.raises(ValueError):
             build_class_embeddings(("ClassA",), ("bogus",), tiny_sources())
+
+    @pytest.mark.parametrize("sources,inputs", [
+        ((), tiny_sources()), (("bogus",), tiny_sources()),
+        (("attribute",), EmbeddingSources()), (("taxonomy",), EmbeddingSources()),
+        (("word",), EmbeddingSources())],
+        ids=["none", "unknown", "no-attribute-inputs", "no-taxonomy-inputs",
+             "no-word-inputs"])
+    def test_bad_request_is_config_error(self, sources, inputs):
+        with pytest.raises(ZslError) as exc:
+            build_class_embeddings(("ClassA",), sources, inputs)
+        assert isinstance(exc.value, ConfigError)
+
+
+def reference_matrix(classes, sources, inputs, normalize_blocks):
+    """The per-class algorithm: one block per class and source, each
+    normalized on its own, then concatenate and vstack."""
+    def block(name, source):
+        if source == "attribute":
+            vec = encode_attributes(inputs.schema, inputs.assignments[name])
+        elif source == "taxonomy":
+            vec = encode_taxonomy(inputs.taxonomy, inputs.leaf_map[name])
+        else:
+            vec = encode_words(inputs.word_table, name, inputs.word_policy)
+        if normalize_blocks:
+            norm = float(np.linalg.norm(vec))
+            if norm > 0.0:
+                vec = vec / norm
+        return vec
+
+    ordered = [s for s in SOURCE_ORDER if s in sources]
+    return np.vstack([np.concatenate([block(name, s) for s in ordered])
+                      for name in classes])
+
+
+@pytest.mark.parametrize("normalize_blocks", [False, True])
+@pytest.mark.parametrize("subset", EMBEDDING_SUBSETS)
+def test_blocks_match_per_class_reference_bit_for_bit(subset, normalize_blocks):
+    dataset, inputs = block_signal_problem(seed=4)
+    classes = dataset.splits.all_classes()
+    emb = build_class_embeddings(classes, subset, inputs,
+                                 normalize_blocks=normalize_blocks)
+    expected = reference_matrix(classes, subset, inputs, normalize_blocks)
+    assert emb.matrix.tobytes() == expected.tobytes()

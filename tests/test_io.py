@@ -57,7 +57,7 @@ class TestFeatures:
         io.save_features(p, io.FeatureSet(("x",), np.array([[1, -2]]), False))
         assert p.read_text() == "d=2 n=1 normalized=0\nx 1.0 -2.0\n"
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False,
                                      width=64),
                            min_size=2, max_size=6))
@@ -219,6 +219,20 @@ class TestSources:
         io.save_attribute_assignments(tmp_path / "a.tsv", assignments)
         back = io.load_attribute_assignments(tmp_path / "a.tsv")
         assert back == assignments
+
+    def test_repeated_attribute_in_assignment_refused(self, tmp_path):
+        p = tmp_path / "a.tsv"
+        p.write_text("B\tsize=small\nA\tsize=small\tsize=large\n")
+        with pytest.raises(ParseError, match="'size'") as exc:
+            io.load_attribute_assignments(p)
+        assert exc.value.path == str(p) and exc.value.line == 2
+
+    def test_repeated_attribute_in_schema_refused(self, tmp_path):
+        p = tmp_path / "schema.tsv"
+        p.write_text("size\tsmall,large\ncolor\tred,green\nsize\tsmall,huge\n")
+        with pytest.raises(ParseError, match="'size'") as exc:
+            io.load_attribute_schema(p)
+        assert exc.value.path == str(p) and exc.value.line == 3
 
 
 class TestClassEmbeddings:
