@@ -134,14 +134,19 @@ def _tab_pairs(lines: _TextLines, usage: str):
         yield no, parts[0], parts[1]
 
 
-def _read_pairs(path, usage: str, key_kind: str) -> dict[str, str]:
-    """Parse `key<TAB>value` lines into a dict, refusing repeated keys."""
-    out: dict[str, str] = {}
+def _read_pairs(path, usage: str, key_kind: str, parse=None) -> dict:
+    """Parse `key<TAB>value` lines into a dict, refusing repeated keys.
+    `parse(key, value)`, if given, converts each value; a `ZslError` it
+    raises becomes a `ParseError` at that line."""
+    out: dict = {}
     with _TextLines(path) as lines:
         for no, key, value in _tab_pairs(lines, usage):
             if key in out:
                 raise ParseError(path, no, f"duplicate {key_kind} {key!r}")
-            out[key] = value
+            try:
+                out[key] = value if parse is None else parse(key, value)
+            except ZslError as exc:
+                raise ParseError(path, no, str(exc)) from None
     return out
 
 
@@ -438,12 +443,17 @@ def save_leaf_map(path, leaf_map: Mapping[str, str]) -> None:
     _write_pairs(path, leaf_map)
 
 
+def _schema_values(name: str, text: str) -> tuple[str, ...]:
+    """One schema line's values, checked as a one-attribute schema."""
+    values = tuple(v.strip() for v in text.split(",") if v.strip())
+    return AttributeSchema(((name, values),)).attributes[0][1]
+
+
 def load_attribute_schema(path) -> AttributeSchema:
-    attrs = _read_pairs(path, "attribute<TAB>v1,v2,...", "attribute")
+    attrs = _read_pairs(path, "attribute<TAB>v1,v2,...", "attribute", _schema_values)
     if not attrs:
         raise ParseError(path, 1, "empty attribute schema file")
-    return AttributeSchema(tuple((name, tuple(v.strip() for v in vals.split(",") if v.strip()))
-                                 for name, vals in attrs.items()))
+    return AttributeSchema(tuple(attrs.items()))
 
 
 def save_attribute_schema(path, schema: AttributeSchema) -> None:

@@ -44,7 +44,7 @@ def grad_rows(A, Psi_e, start, stop, out):
 
 def gradient(A, Psi_e):
     """The full (d+1, m+1) gradient A @ Psi_e, assembled by `grad_rows` in
-    the row blocks in which `optim.adam_update` forms it."""
+    the row blocks in which the in-place updates of `optim` form it."""
     G = np.empty((A.shape[0], Psi_e.shape[1]))
     step = block_rows(G.shape[1])
     for start in range(0, len(G), step):

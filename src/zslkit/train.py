@@ -24,7 +24,7 @@ from .errors import (
 )
 from .evaluate import SplitDataset, evaluate_zsl
 from .model import CompatModel, extend_embedding
-from .optim import AdamState, SgdState, sgd_step
+from .optim import AdamState, SgdState, sgd_update
 # The benchmark's tracer times the optimizer step, which also forms the
 # gradient blocks, at `train.adam_step`.
 from .optim import adam_update as adam_step
@@ -169,12 +169,14 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     else:
         pool = np.arange(len(label_idx), dtype=np.int64)
 
+    # Read `adam_step` per call of train, so that a tracer rebinding it counts.
     if config.optimizer == "adam":
+        update = adam_step
         opt_state = AdamState.for_shape(W_e.shape, alpha=config.learning_rate,
                                         beta1=config.beta1, beta2=config.beta2,
                                         epsilon=config.epsilon)
     else:
-        opt_state = SgdState(alpha=config.learning_rate)
+        update, opt_state = sgd_update, SgdState(alpha=config.learning_rate)
 
     batch_rng = component_rng(config.seed, "batch")
     records: list[EvalRecord] = []
@@ -197,12 +199,7 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
             if not math.isfinite(batch_nll):
                 raise DivergenceError(
                     f"training diverged at iteration {t}: batch NLL is {batch_nll!r}")
-            if config.optimizer == "adam":
-                adam_step(opt_state, W_e, fill_grad)  # in place: W_e and the moments
-            else:
-                G = kernels.gradient(A, Psi_e)
-                _zero_frozen_terms(G, d, config)
-                W_e = sgd_step(opt_state, W_e, G)
+            update(opt_state, W_e, fill_grad)
 
             if t % config.eval_every == 0:
                 if not np.isfinite(W_e).all():

@@ -100,11 +100,13 @@ class TestEmbedTrainEvalFlow:
 
 
 class TestDeterminism:
-    def test_byte_identical_outputs(self, experiment):
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_byte_identical_outputs(self, experiment, optimizer):
         tmp, config = experiment
         paths = {}
         for tag in ("one", "two"):
             assert main(["train", "--config", str(config),
+                         "--set", f"optimizer={optimizer}",
                          "--set", f"checkpoint_out={tmp}/m_{tag}.ckpt",
                          "--set", f"report_out={tmp}/r_{tag}.json"]) == 0
             paths[tag] = ((tmp / f"m_{tag}.ckpt").read_bytes(),
@@ -338,6 +340,17 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert where in err[0]
+
+    @pytest.mark.parametrize("values", ["small,small", "small"])
+    def test_bad_attribute_schema_line(self, experiment, capsys, values):
+        tmp, config = experiment
+        schema = tmp / "attr_schema.tsv"
+        lines = schema.read_text().splitlines()
+        lines[1] = lines[1].split("\t")[0] + "\t" + values
+        schema.write_text("\n".join(lines) + "\n")
+        assert main(["embed", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {schema}:2: ")
 
     def test_train_divergence_names_iteration(self, experiment, capsys):
         _, config = experiment

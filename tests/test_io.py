@@ -235,6 +235,17 @@ class TestSources:
         assert exc.value.path == str(p) and exc.value.line == 3
 
 
+    @pytest.mark.parametrize("values,message", [
+        ("small,small", "has duplicate values"),
+        ("small", "must offer at least two values")])
+    def test_bad_schema_values_name_the_line(self, tmp_path, values, message):
+        p = tmp_path / "schema.tsv"
+        p.write_text(f"color\tred,green\nsize\t{values}\n")
+        with pytest.raises(ParseError, match=f"'size' {message}") as exc:
+            io.load_attribute_schema(p)
+        assert exc.value.path == str(p) and exc.value.line == 2
+
+
 class TestClassEmbeddings:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

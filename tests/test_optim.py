@@ -7,12 +7,13 @@ import pytest
 from zslkit import kernels
 from zslkit.errors import ShapeMismatchError
 from zslkit.optim import AdamState, SgdState, adam_step, sgd_step
-from zslkit.optim import ADAM_BLOCK, adam_update
+from zslkit.optim import ADAM_BLOCK, adam_update, sgd_update
 
 
 def adam_reference(alpha, beta1, beta2, eps, params, grads):
     """Independent recurrence with plain Python floats: running first and
-    second moments, bias correction, then the elementwise scaled step."""
+    second moments, bias correction, then the elementwise scaled step.
+    Returns the parameters and the two moments after the last step."""
     rows, cols = len(params), len(params[0])
     M = [[0.0] * cols for _ in range(rows)]
     V = [[0.0] * cols for _ in range(rows)]
@@ -26,7 +27,7 @@ def adam_reference(alpha, beta1, beta2, eps, params, grads):
                 m_hat = M[i][j] / (1.0 - beta1 ** t)
                 v_hat = V[i][j] / (1.0 - beta2 ** t)
                 p[i][j] -= alpha * m_hat / (math.sqrt(v_hat) + eps)
-    return np.array(p)
+    return np.array(p), np.array(M), np.array(V)
 
 
 class TestSgd:
@@ -81,7 +82,7 @@ class TestAdam:
         p = params
         for _ in range(3):
             p, state = adam_step(state, p, G)
-        expected = adam_reference(0.1, 0.9, 0.999, 1e-8, params, [G, G, G])
+        expected, _, _ = adam_reference(0.1, 0.9, 0.999, 1e-8, params, [G, G, G])
         np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_ten_step_random_trajectory_vs_reference(self):
@@ -92,7 +93,7 @@ class TestAdam:
         p = params
         for G in grads:
             p, state = adam_step(state, p, G)
-        expected = adam_reference(0.02, 0.9, 0.999, 1e-8, params, grads)
+        expected, _, _ = adam_reference(0.02, 0.9, 0.999, 1e-8, params, grads)
         np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_sign_sgd_limit(self):
@@ -152,18 +153,24 @@ BLOCK_SHAPES = [(3, 4), (5, 2 * ADAM_BLOCK // 5 + 7), (2, ADAM_BLOCK + 3)]
 class TestAdamUpdate:
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_bit_identical_to_adam_step(self, shape):
+        # adam_step runs adam_update on copies, so both are held to the
+        # plain-float recurrence, moments included.
         rng = np.random.default_rng(5)
         params = rng.normal(size=shape)
-        ref_p, ref = params, AdamState.for_shape(shape, alpha=0.02)
+        step_p, step_state = params, AdamState.for_shape(shape, alpha=0.02)
         p, state = params.copy(), AdamState.for_shape(shape, alpha=0.02)
+        grads = []
         for _ in range(4):
             G = rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 4))
-            ref_p, ref = adam_step(ref, ref_p, G)
+            grads.append(G)
+            step_p, step_state = adam_step(step_state, step_p, G)
             assert adam_update(state, p, G) is None
-        np.testing.assert_array_equal(p, ref_p)
-        np.testing.assert_array_equal(state.M, ref.M)
-        np.testing.assert_array_equal(state.V, ref.V)
-        assert state.t == ref.t == 4
+        ref_p, ref_M, ref_V = adam_reference(0.02, 0.9, 0.999, 1e-8, params, grads)
+        for got_p, got in ((p, state), (step_p, step_state)):
+            np.testing.assert_array_equal(got_p, ref_p)
+            np.testing.assert_array_equal(got.M, ref_M)
+            np.testing.assert_array_equal(got.V, ref_V)
+            assert got.t == 4
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_bit_identical_to_reference(self, shape):
@@ -174,25 +181,32 @@ class TestAdamUpdate:
         for G in grads:
             adam_update(state, p, G)
         np.testing.assert_array_equal(
-            p, adam_reference(0.05, 0.9, 0.999, 1e-8, params, grads))
+            p, adam_reference(0.05, 0.9, 0.999, 1e-8, params, grads)[0])
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_block_filled_gradient_bit_identical_to_adam_step(self, shape):
+        # The recurrence on the dense gradient that kernels.gradient
+        # assembles in the same row blocks as the filled ones.
         rng = np.random.default_rng(7)
         params = rng.normal(size=shape)
-        ref_p, ref = params, AdamState.for_shape(shape, alpha=0.02)
+        step_p, step_state = params, AdamState.for_shape(shape, alpha=0.02)
         p, state = params.copy(), AdamState.for_shape(shape, alpha=0.02)
         Psi_e = rng.normal(size=(24, shape[1]))
+        grads = []
         for _ in range(4):
             A = rng.normal(size=(shape[0], 24)) * 10.0 ** int(rng.integers(-3, 4))
-            ref_p, ref = adam_step(ref, ref_p, kernels.gradient(A, Psi_e))
+            grads.append(kernels.gradient(A, Psi_e))
+            step_p, step_state = adam_step(step_state, step_p, grads[-1])
             adam_update(state, p, lambda start, stop, out:
                         kernels.grad_rows(A, Psi_e, start, stop, out))
-        np.testing.assert_array_equal(p, ref_p)
-        np.testing.assert_array_equal(state.M, ref.M)
-        np.testing.assert_array_equal(state.V, ref.V)
+        ref_p, ref_M, ref_V = adam_reference(0.02, 0.9, 0.999, 1e-8, params, grads)
+        for got_p, got in ((p, state), (step_p, step_state)):
+            np.testing.assert_array_equal(got_p, ref_p)
+            np.testing.assert_array_equal(got.M, ref_M)
+            np.testing.assert_array_equal(got.V, ref_V)
 
-    def test_step_holds_no_full_size_temporary(self):
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_step_holds_no_full_size_temporary(self, optimizer):
         # A kernel call and a block-filled update at d=1023, m=160 must peak
         # below one parameter-sized array; the full gradient alone is one.
         rng = np.random.default_rng(8)
@@ -201,12 +215,13 @@ class TestAdamUpdate:
         Phi_e = np.hstack([rng.normal(size=(B, d)), np.ones((B, 1))])
         Psi_e = np.hstack([rng.normal(size=(K, m)), np.ones((K, 1))])
         labels = rng.integers(0, K, size=B)
-        state = AdamState.for_shape(W_e.shape)
+        update, state = {"adam": (adam_update, AdamState.for_shape(W_e.shape)),
+                         "sgd": (sgd_update, SgdState())}[optimizer]
         tracemalloc.start()
         try:
             _, A = kernels.nll_and_grad(W_e, Phi_e, labels, Psi_e)
-            adam_update(state, W_e, lambda start, stop, out:
-                        kernels.grad_rows(A, Psi_e, start, stop, out))
+            update(state, W_e, lambda start, stop, out:
+                   kernels.grad_rows(A, Psi_e, start, stop, out))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -232,3 +247,39 @@ class TestAdamUpdate:
         with pytest.raises(ValueError):
             adam_update(state, np.zeros((2, 4))[:, ::2], np.zeros((2, 2)))
         assert state.t == 0
+
+
+class TestSgdUpdate:
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_bit_identical_to_formula(self, shape):
+        rng = np.random.default_rng(9)
+        params = rng.normal(size=shape)
+        Psi_e = rng.normal(size=(24, shape[1]))
+        p, filled, expected = params.copy(), params.copy(), params
+        for _ in range(3):
+            A = rng.normal(size=(shape[0], 24)) * 10.0 ** int(rng.integers(-3, 4))
+            G = kernels.gradient(A, Psi_e)
+            expected = expected - 0.03 * G
+            assert sgd_update(SgdState(alpha=0.03), p, G) is None
+            sgd_update(SgdState(alpha=0.03), filled, lambda start, stop, out:
+                       kernels.grad_rows(A, Psi_e, start, stop, out))
+        assert p.tobytes() == expected.tobytes()
+        assert filled.tobytes() == expected.tobytes()
+
+    def test_functional_forms_leave_inputs_alone(self):
+        # Fortran-ordered inputs too: the functional forms copy them into
+        # the C layout that the in-place walk needs.
+        rng = np.random.default_rng(10)
+        params = np.asfortranarray(rng.normal(size=(3, 4)))
+        G = np.asfortranarray(rng.normal(size=(3, 4)))
+        kept = params.copy()
+        out = sgd_step(SgdState(alpha=0.1), params, G)
+        assert out.tobytes() == (kept - 0.1 * G).tobytes()
+        state = AdamState(alpha=0.1, t=2, M=np.asfortranarray(rng.normal(size=(3, 4))),
+                          V=np.asfortranarray(rng.random(size=(3, 4))))
+        M, V = state.M.copy(), state.V.copy()
+        adam_step(state, params, G)
+        np.testing.assert_array_equal(params, kept)
+        np.testing.assert_array_equal(state.M, M)
+        np.testing.assert_array_equal(state.V, V)
+        assert state.t == 2

@@ -247,9 +247,9 @@ def dense_gradient(W_e, Phi_e, labels, Psi_e):
 
 
 def reference_training_run(dataset, embeddings, cfg, gradient=dense_gradient):
-    """The Adam loop of train() with the functional adam_step, a dense
-    gradient and a full mask product, returning W_e after the last
-    iteration."""
+    """The loop of train() with a dense gradient, a full mask product and a
+    fresh W_e per step: the functional adam_step, or the SGD step written
+    out. Returns W_e after the last iteration."""
     classes = dataset.splits.seen
     rows = [i for i, l in enumerate(dataset.labels) if l in classes]
     X = dataset.features[rows]
@@ -270,20 +270,38 @@ def reference_training_run(dataset, embeddings, cfg, gradient=dense_gradient):
     for _ in range(cfg.max_iterations):
         batch = pool[batch_rng.integers(0, len(pool), size=cfg.batch_size)]
         G = gradient(W_e, Phi_e[batch], label_idx[batch], Psi_e) * mask
-        W_e, state = adam_step(state, W_e, G)
+        if cfg.optimizer == "sgd":
+            W_e = W_e - cfg.learning_rate * G
+        else:
+            W_e, state = adam_step(state, W_e, G)
     return W_e
 
 
+LINEAR_TERMS = pytest.mark.parametrize(
+    "use_wx,use_wy", [(False, False), (True, False), (False, True), (True, True)])
+# W_e of 4 x 5 fits one row block of the update; 256 x 161 spans two.
+SHAPES = pytest.mark.parametrize("d,m", [(3, 4), (255, 160)])
+
+
 class TestInPlaceTraining:
-    @pytest.mark.parametrize("use_wx,use_wy", [(False, False), (True, False),
-                                               (False, True), (True, True)])
-    # W_e of 4 x 5 fits one Adam block; 256 x 161 spans two.
-    @pytest.mark.parametrize("d,m", [(3, 4), (255, 160)])
+    @LINEAR_TERMS
+    @SHAPES
     def test_matches_functional_reference(self, use_wx, use_wy, d, m):
         dataset, embeddings = tiny_problem(seed=12, d=d, m=m)
         # one record at the last iteration, so the report holds the final W_e
         cfg = TrainConfig(batch_size=4, max_iterations=15, eval_every=15,
                           seed=6, learning_rate=0.05,
+                          use_wx=use_wx, use_wy=use_wy)
+        report = train(dataset, embeddings, cfg)
+        expected = reference_training_run(dataset, embeddings, cfg)
+        assert report.model.W_e.tobytes() == expected.tobytes()
+
+    @LINEAR_TERMS
+    @SHAPES
+    def test_sgd_matches_written_out_reference(self, use_wx, use_wy, d, m):
+        dataset, embeddings = tiny_problem(seed=12, d=d, m=m)
+        cfg = TrainConfig(batch_size=4, max_iterations=15, eval_every=15,
+                          seed=6, learning_rate=0.05, optimizer="sgd",
                           use_wx=use_wx, use_wy=use_wy)
         report = train(dataset, embeddings, cfg)
         expected = reference_training_run(dataset, embeddings, cfg)
