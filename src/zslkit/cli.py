@@ -5,6 +5,10 @@ reads a key=value config file; individual entries can be overridden with
 repeated --set KEY=VALUE flags, and --seed overrides the seed. All outputs
 are deterministic functions of (config, input files, seed).
 
+Commands load their inputs through `_load_dataset`, `_load_embeddings` and
+`_train_config`; `validate` loads through the same functions and reports each
+failure, and each failed cross-check, as one violation.
+
 Exit codes: 0 success, 1 validation or data failure, 2 usage error.
 """
 
@@ -22,7 +26,7 @@ from . import io
 from .embeddings import (SOURCE_ORDER, EmbeddingSources, build_class_embeddings,
                          ordered_sources)
 from .errors import AlignmentError, ConfigError, ZslError
-from .evaluate import ablate_embeddings, ablate_linear_terms, evaluate_zsl
+from .evaluate import SPLIT_NAMES, ablate_embeddings, ablate_linear_terms, evaluate_zsl
 from .model import score_matrix
 from .train import TrainConfig, train
 
@@ -52,19 +56,23 @@ def _train_config(cfg: dict) -> TrainConfig:
                           for f in dataclasses.fields(TrainConfig) if f.name in cfg})
 
 
+# Each source's EmbeddingSources fields and their config keys, in load order.
+# Key k's file loads with io.load_<k>, looked up per call for perfbench's tracer.
+_SOURCE_FILES = {
+    "attribute": (("schema", "attribute_schema"),
+                  ("assignments", "attribute_assignments")),
+    "taxonomy": (("taxonomy", "taxonomy"), ("leaf_map", "leaf_map")),
+    "word": (("word_table", "word_vectors"),),
+}
+
+
 def _embedding_sources(cfg: dict, sources) -> EmbeddingSources:
     inputs = EmbeddingSources(word_policy=cfg.get("word_policy", "strict"))
-    if "attribute" in sources:
-        _require(cfg, ("attribute_schema", "attribute_assignments"), "attribute source")
-        inputs.schema = io.load_attribute_schema(cfg["attribute_schema"])
-        inputs.assignments = io.load_attribute_assignments(cfg["attribute_assignments"])
-    if "taxonomy" in sources:
-        _require(cfg, ("taxonomy", "leaf_map"), "taxonomy source")
-        inputs.taxonomy = io.load_taxonomy(cfg["taxonomy"])
-        inputs.leaf_map = io.load_leaf_map(cfg["leaf_map"])
-    if "word" in sources:
-        _require(cfg, ("word_vectors",), "word source")
-        inputs.word_table = io.load_word_vectors(cfg["word_vectors"])
+    for source, files in _SOURCE_FILES.items():
+        if source in sources:
+            _require(cfg, [key for _, key in files], f"{source} source")
+            for field, key in files:
+                setattr(inputs, field, getattr(io, f"load_{key}")(cfg[key]))
     return inputs
 
 
@@ -219,9 +227,76 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+@dataclasses.dataclass
+class ValidationReport:
+    violations: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def __str__(self) -> str:
+        return "OK" if self.ok else "\n".join(self.violations)
+
+
+def validate_experiment(cfg: dict) -> ValidationReport:
+    """Load each input the config names as the commands do, and cross-check
+    them. A failure is one violation, never an exception, and skips the checks
+    that need that input. With no `embeddings` file, the built set needs splits."""
+    violations: list[str] = []
+
+    def attempt(what, load):
+        try:
+            return load()
+        except (ZslError, OSError) as exc:
+            violations.append(f"{what}: {exc}")
+            return None
+
+    def load_file(key, loader, **options):
+        if key not in cfg:
+            return None
+        return attempt(key, lambda: loader(cfg[key], **options))
+
+    features = load_file("features", io.load_features,
+                         l2_normalize=cfg.get("l2_normalize", False))
+    labels = load_file("labels", io.load_labels)
+    splits = load_file("splits", io.load_splits)
+    embeddings = (attempt("embeddings", lambda: _load_embeddings(cfg))
+                  if "embeddings" in cfg or splits is not None else None)
+    checkpoint = load_file("checkpoint", io.load_checkpoint)
+    attempt("training settings", lambda: _train_config(cfg))
+
+    if splits is not None:
+        violations.extend(splits.overlap_violations())
+        split_classes = set(splits.all_classes())
+        if labels is not None:
+            stray = sorted({c for c in labels.values() if c not in split_classes})
+            violations.extend(f"label class {cls!r} is not in any split" for cls in stray)
+        if embeddings is not None:
+            violations.extend(f"class {cls!r} in split {name!r} has no embedding"
+                              for name in SPLIT_NAMES for cls in splits.classes(name)
+                              if cls not in embeddings)
+    if features is not None and labels is not None:
+        missing, extra = io._id_join(features.ids, labels)
+        violations.extend(f"feature id {i!r} has no label" for i in missing)
+        violations.extend(f"label id {i!r} has no feature row" for i in extra)
+    if checkpoint is not None:
+        if features is not None and features.d != checkpoint.model.d:
+            violations.append(
+                f"feature dimension d={features.d} != checkpoint d={checkpoint.model.d}")
+        if embeddings is not None and embeddings.m != checkpoint.model.m:
+            violations.append(
+                f"embedding dimension m={embeddings.m} != checkpoint m={checkpoint.model.m}")
+        elif embeddings is not None:
+            mismatch = io.layout_mismatch(cfg["checkpoint"], checkpoint, embeddings)
+            if mismatch:
+                violations.append(mismatch)
+    return ValidationReport(violations)
+
+
 def cmd_validate(args) -> int:
     cfg = _load_cfg(args)
-    report = io.validate_experiment(cfg)
+    report = validate_experiment(cfg)
     print(report)
     return 0 if report.ok else 1
 

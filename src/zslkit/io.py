@@ -1,4 +1,4 @@
-"""File formats and experiment-level validation.
+"""File formats and config parsing; `cli` loads and checks experiments.
 
 All data files are line-oriented UTF-8 text with explicit headers so they
 diff cleanly; only model checkpoints use a compact binary layout. Only the
@@ -659,68 +659,3 @@ def resolve_config_paths(config: dict, base_dir) -> dict:
         if key in out:
             out[key] = str(base / out[key])
     return out
-
-
-# ---------------------------------------------------------------------------
-# experiment validation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ValidationReport:
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        return "OK" if self.ok else "\n".join(self.violations)
-
-
-def validate_experiment(config: Mapping) -> ValidationReport:
-    """Cross-check every artifact the config names. Violations are report
-    content, never exceptions; a missing or unparseable file is itself a
-    violation and suppresses the checks that would have needed it."""
-    violations: list[str] = []
-
-    def try_load(key, loader):
-        if key not in config:
-            return None
-        try:
-            return loader(config[key])
-        except (ZslError, OSError) as exc:
-            violations.append(f"{key}: {exc}")
-            return None
-
-    features = try_load("features", load_features)
-    labels = try_load("labels", load_labels)
-    splits = try_load("splits", load_splits)
-    embeddings = try_load("embeddings", load_class_embeddings)
-    checkpoint = try_load("checkpoint", load_checkpoint)
-
-    if splits is not None:
-        violations.extend(splits.overlap_violations())
-        split_classes = set(splits.all_classes())
-        if labels is not None:
-            stray = sorted({c for c in labels.values() if c not in split_classes})
-            violations.extend(f"label class {cls!r} is not in any split" for cls in stray)
-        if embeddings is not None:
-            violations.extend(f"class {cls!r} in split {name!r} has no embedding"
-                              for name in SPLIT_NAMES for cls in splits.classes(name)
-                              if cls not in embeddings)
-    if features is not None and labels is not None:
-        missing, extra = _id_join(features.ids, labels)
-        violations.extend(f"feature id {i!r} has no label" for i in missing)
-        violations.extend(f"label id {i!r} has no feature row" for i in extra)
-    if checkpoint is not None:
-        if features is not None and features.d != checkpoint.model.d:
-            violations.append(
-                f"feature dimension d={features.d} != checkpoint d={checkpoint.model.d}")
-        if embeddings is not None and embeddings.m != checkpoint.model.m:
-            violations.append(
-                f"embedding dimension m={embeddings.m} != checkpoint m={checkpoint.model.m}")
-        elif embeddings is not None:
-            mismatch = layout_mismatch(config["checkpoint"], checkpoint, embeddings)
-            if mismatch:
-                violations.append(mismatch)
-    return ValidationReport(violations)

@@ -2,11 +2,13 @@ import json
 import struct
 import sys
 
+import numpy as np
 import pytest
 
 from synthdata import block_signal_problem, write_experiment_files
 from zslkit import io
-from zslkit.cli import main
+from zslkit.cli import main, validate_experiment
+from zslkit.embeddings import ClassEmbeddingSet
 from zslkit.evaluate import ClassSplits
 from zslkit.model import CompatModel
 
@@ -56,6 +58,51 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(config),
                      "--set", "labels=renamed.tsv"]) == 0
         assert capsys.readouterr().out.strip() == "OK"
+
+
+class TestValidateExperiment:
+    def golden_config(self, tmp_path):
+        dataset, sources = block_signal_problem(seed=0, n_classes=6, n_seen=3,
+                                                n_val=2, per_class=4)
+        config_path = write_experiment_files(tmp_path, dataset, sources)
+        cfg = io.resolve_config_paths(io.load_config(config_path), tmp_path)
+        return cfg
+
+    def test_golden_fixture_is_clean(self, tmp_path):
+        report = validate_experiment(self.golden_config(tmp_path))
+        assert report.ok
+        assert str(report) == "OK"
+
+    def test_overlap_names_class_and_splits(self, tmp_path):
+        cfg = self.golden_config(tmp_path)
+        splits = io.load_splits(cfg["splits"])
+        bad = ClassSplits(splits.seen, splits.zsl_validation,
+                          splits.zsl_test + (splits.seen[0],))
+        io.save_splits(cfg["splits"], bad)
+        report = validate_experiment(cfg)
+        assert not report.ok
+        joined = "\n".join(report.violations)
+        assert splits.seen[0] in joined and "seen" in joined and "zsl_test" in joined
+
+    def test_dimension_mismatch_flagged(self, tmp_path):
+        cfg = self.golden_config(tmp_path)
+        rng = np.random.default_rng(4)
+        emb = ClassEmbeddingSet(io.load_splits(cfg["splits"]).all_classes(),
+                                rng.normal(size=(6, 5)), (("word", 0, 5),))
+        io.save_class_embeddings(tmp_path / "emb.txt", emb)
+        io.save_checkpoint(tmp_path / "m.ckpt", CompatModel.zeros(3, 9),
+                           emb.class_names, emb.block_layout)
+        cfg["embeddings"] = str(tmp_path / "emb.txt")
+        cfg["checkpoint"] = str(tmp_path / "m.ckpt")
+        report = validate_experiment(cfg)
+        assert any("m=5" in v and "m=9" in v for v in report.violations)
+        assert any("d=" in v for v in report.violations)
+
+    def test_missing_file_is_violation_not_exception(self, tmp_path):
+        cfg = {"features": str(tmp_path / "nope.txt")}
+        report = validate_experiment(cfg)
+        assert not report.ok
+        assert "features" in report.violations[0]
 
 
 class TestEmbedTrainEvalFlow:
@@ -319,6 +366,67 @@ def nan_checkpoint_entry(tmp):
     return "model.ckpt:2: checkpoint payload has a non-finite value"
 
 
+def set_schema_values(tmp, values):
+    schema = tmp / "attr_schema.tsv"
+    lines = schema.read_text().splitlines()
+    lines[1] = lines[1].split("\t")[0] + "\t" + values
+    schema.write_text("\n".join(lines) + "\n")
+    return "attr_schema.tsv:2:"
+
+
+def repeated_schema_value(tmp):
+    return set_schema_values(tmp, "small,small")
+
+
+def single_schema_value(tmp):
+    return set_schema_values(tmp, "small")
+
+
+def cyclic_taxonomy(tmp):
+    (tmp / "taxonomy.tsv").write_text("a\tr\nr\ta\nb\n")
+    return "taxonomy.tsv:3:"
+
+
+def non_numeric_word_vector(tmp):
+    lines = (tmp / "word_vectors.txt").read_text().split("\n")
+    lines[1] = " ".join(["b"] + ["x"] * (len(lines[1].split()) - 1))
+    (tmp / "word_vectors.txt").write_text("\n".join(lines))
+    return "word_vectors.txt:2:"
+
+
+def missing_word_vectors(tmp):
+    (tmp / "word_vectors.txt").unlink()
+    return "word_vectors.txt"
+
+
+def missing_word_vectors_and_bogus_source(tmp):
+    missing_word_vectors(tmp)
+    return "'bogus'"
+
+
+def class_without_assignment(tmp):
+    first, rest = (tmp / "attr_assignments.tsv").read_text().split("\n", 1)
+    (tmp / "attr_assignments.tsv").write_text(rest)
+    return repr(first.split("\t")[0])
+
+
+def config_without_source_keys(tmp):
+    sources = ("attribute_", "taxonomy=", "leaf_map=", "word_vectors=")
+    config = tmp / "config.txt"
+    config.write_text("".join(line for line in config.read_text().splitlines(True)
+                              if not line.startswith(sources)))
+    return "attribute source needs config key(s): attribute_schema, attribute_assignments"
+
+
+def zero_unnormalized_feature_row(tmp):
+    lines = (tmp / "features.txt").read_text().split("\n")
+    lines[0] = lines[0].replace("normalized=1", "normalized=0")
+    row_id, *values = lines[1].split(" ")
+    lines[1] = " ".join([row_id] + ["0.0"] * len(values))
+    (tmp / "features.txt").write_text("\n".join(lines))
+    return f"zero feature vector ({row_id})"
+
+
 class TestMalformedInputs:
     """Each malformed file ends the command with exit 1 and one error line
     naming the file and line, never a traceback."""
@@ -344,10 +452,8 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("values", ["small,small", "small"])
     def test_bad_attribute_schema_line(self, experiment, capsys, values):
         tmp, config = experiment
+        set_schema_values(tmp, values)
         schema = tmp / "attr_schema.tsv"
-        lines = schema.read_text().splitlines()
-        lines[1] = lines[1].split("\t")[0] + "\t" + values
-        schema.write_text("\n".join(lines) + "\n")
         assert main(["embed", "--config", str(config)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {schema}:2: ")
@@ -441,3 +547,65 @@ class TestLayoutMismatch:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1
         assert f"word:0:{m}" in out[0] and "attribute:0:" in out[0]
+
+
+def case(command, corrupt, *settings):
+    """`corrupt(tmp)` edits the inputs and returns the text both errors must
+    contain; a string is that text, for a case set by --set alone."""
+    names = [] if isinstance(corrupt, str) else [corrupt.__name__]
+    return pytest.param(command, corrupt, settings,
+                        id="-".join([command, *names, *settings]))
+
+
+EMBEDDINGS = "embeddings=embeddings.txt"
+CHECKPOINT = "checkpoint=model.ckpt"
+
+
+class TestValidateAgreement:
+    """Whenever a command refuses an input or setting, `validate` on the same
+    config and --set flags exits 1 with one violation that names the same
+    file or bad value."""
+
+    @pytest.mark.parametrize("command,corrupt,settings", [
+        case("embed", cyclic_taxonomy),
+        case("embed", non_numeric_word_vector),
+        case("embed", class_without_assignment),
+        case("embed", "'bogus'", "sources=bogus"),
+        case("train", "'bogus'", "sources=bogus"),
+        case("embed", "'bogus'", "word_policy=bogus"),
+        case("train", "'bogus'", "word_policy=bogus"),
+        case("train", zero_unnormalized_feature_row, "l2_normalize=1"),
+        case("train", "batch_size", "batch_size=0"),
+        case("train", "optimizer", "optimizer=bogus"),
+        case("train", "eval_every", "eval_every=999999"),
+        case("embed", repeated_schema_value),
+        case("embed", single_schema_value),
+        case("embed", missing_word_vectors),
+        case("embed", missing_word_vectors_and_bogus_source, "sources=word,bogus"),
+        case("train", config_without_source_keys),
+        *(case("train", corrupt) for corrupt in (
+            corrupt_labels_encoding, negative_feature_dimension, nan_feature_value,
+            huge_feature_dimension, huge_feature_row_count, normalized_flag_two,
+            form_feed_inside_a_row)),
+        *(case("train", corrupt, EMBEDDINGS) for corrupt in (
+            negative_embedding_dimension, huge_embedding_dimension,
+            huge_embedding_row_count, repeated_class_row)),
+        *(case("eval", corrupt, EMBEDDINGS, CHECKPOINT) for corrupt in (
+            checkpoint_meta_not_object, checkpoint_meta_bad_layout,
+            checkpoint_meta_negative_shape, checkpoint_meta_infinite_dimension,
+            nan_checkpoint_entry)),
+    ])
+    def test_validate_fails_where_command_fails(self, experiment, capsys,
+                                                command, corrupt, settings):
+        tmp, config = experiment
+        eval_args(tmp, config)  # embeddings.txt and model.ckpt on disk
+        where = corrupt if isinstance(corrupt, str) else corrupt(tmp)
+        argv = ["--config", str(config)]
+        for setting in settings:
+            argv += ["--set", setting]
+        capsys.readouterr()
+        assert main([command, *argv]) == 1
+        assert where in capsys.readouterr().err
+        assert main(["validate", *argv]) == 1
+        violations = capsys.readouterr().out.splitlines()
+        assert len(violations) == 1 and where in violations[0]

@@ -357,51 +357,6 @@ class TestLoadDataset:
             io.load_dataset(tmp_path / "f.txt", tmp_path / "l.tsv", tmp_path / "s.txt")
 
 
-class TestValidateExperiment:
-    def golden_config(self, tmp_path):
-        dataset, sources = block_signal_problem(seed=0, n_classes=6, n_seen=3,
-                                                n_val=2, per_class=4)
-        config_path = write_experiment_files(tmp_path, dataset, sources)
-        cfg = io.resolve_config_paths(io.load_config(config_path), tmp_path)
-        return cfg
-
-    def test_golden_fixture_is_clean(self, tmp_path):
-        report = io.validate_experiment(self.golden_config(tmp_path))
-        assert report.ok
-        assert str(report) == "OK"
-
-    def test_overlap_names_class_and_splits(self, tmp_path):
-        cfg = self.golden_config(tmp_path)
-        splits = io.load_splits(cfg["splits"])
-        bad = ClassSplits(splits.seen, splits.zsl_validation,
-                          splits.zsl_test + (splits.seen[0],))
-        io.save_splits(cfg["splits"], bad)
-        report = io.validate_experiment(cfg)
-        assert not report.ok
-        joined = "\n".join(report.violations)
-        assert splits.seen[0] in joined and "seen" in joined and "zsl_test" in joined
-
-    def test_dimension_mismatch_flagged(self, tmp_path):
-        cfg = self.golden_config(tmp_path)
-        rng = np.random.default_rng(4)
-        emb = ClassEmbeddingSet(io.load_splits(cfg["splits"]).all_classes(),
-                                rng.normal(size=(6, 5)), (("word", 0, 5),))
-        io.save_class_embeddings(tmp_path / "emb.txt", emb)
-        io.save_checkpoint(tmp_path / "m.ckpt", CompatModel.zeros(3, 9),
-                           emb.class_names, emb.block_layout)
-        cfg["embeddings"] = str(tmp_path / "emb.txt")
-        cfg["checkpoint"] = str(tmp_path / "m.ckpt")
-        report = io.validate_experiment(cfg)
-        assert any("m=5" in v and "m=9" in v for v in report.violations)
-        assert any("d=" in v for v in report.violations)
-
-    def test_missing_file_is_violation_not_exception(self, tmp_path):
-        cfg = {"features": str(tmp_path / "nope.txt")}
-        report = io.validate_experiment(cfg)
-        assert not report.ok
-        assert "features" in report.violations[0]
-
-
 # Pieces of every text format, so that arbitrary joins of them reach the
 # header, row and section parsers rather than failing on the first byte.
 FRAGMENTS = [
