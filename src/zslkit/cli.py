@@ -56,6 +56,23 @@ def _train_config(cfg: dict) -> TrainConfig:
                           for f in dataclasses.fields(TrainConfig) if f.name in cfg})
 
 
+# Default, legal values and rule of the eval, predict and ablate settings, all
+# checked by `validate`. `eval` and `ablate` further need a zero-shot split.
+_SETTINGS = {
+    "eval_split": ("zsl_test", SPLIT_NAMES, "one of " + ", ".join(SPLIT_NAMES)),
+    "grid": ("all", ("embeddings", "linear", "all"), "one of embeddings, linear, all"),
+    "repeats": (1, range(1, sys.maxsize), ">= 1"),
+}
+
+
+def _setting(cfg: dict, key: str, flag=None):
+    default, legal, rule = _SETTINGS[key]
+    value = flag or cfg.get(key, default)
+    if value not in legal:
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    return value
+
+
 # Each source's EmbeddingSources fields and their config keys, in load order.
 # Key k's file loads with io.load_<k>, looked up per call for perfbench's tracer.
 _SOURCE_FILES = {
@@ -66,14 +83,17 @@ _SOURCE_FILES = {
 }
 
 
-def _embedding_sources(cfg: dict, sources) -> EmbeddingSources:
+def _embedding_sources(cfg: dict) -> tuple[tuple[str, ...], EmbeddingSources]:
+    """The configured sources, in layout order, and their loaded inputs."""
+    raw = cfg.get("sources", ",".join(SOURCE_ORDER))
+    sources = ordered_sources(s.strip() for s in raw.split(",") if s.strip())
     inputs = EmbeddingSources(word_policy=cfg.get("word_policy", "strict"))
     for source, files in _SOURCE_FILES.items():
         if source in sources:
             _require(cfg, [key for _, key in files], f"{source} source")
             for field, key in files:
                 setattr(inputs, field, getattr(io, f"load_{key}")(cfg[key]))
-    return inputs
+    return sources, inputs
 
 
 def _load_dataset(cfg: dict):
@@ -84,10 +104,8 @@ def _load_dataset(cfg: dict):
 
 def _build_embeddings(cfg: dict):
     _require(cfg, ("splits",), "embedding construction")
-    raw = cfg.get("sources", ",".join(SOURCE_ORDER))
-    sources = ordered_sources(s.strip() for s in raw.split(",") if s.strip())
     splits = io.load_splits(cfg["splits"])
-    inputs = _embedding_sources(cfg, sources)
+    sources, inputs = _embedding_sources(cfg)
     return build_class_embeddings(splits.all_classes(), sources, inputs,
                                   normalize_blocks=cfg.get("normalize_blocks", False))
 
@@ -145,10 +163,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     _require(cfg, ("checkpoint",), "eval")
+    split = _setting(cfg, "eval_split")
     dataset = _load_dataset(cfg)
     embeddings = _load_embeddings(cfg)
     model = _checkpoint_model(cfg, embeddings)
-    split = cfg.get("eval_split", "zsl_test")
     result = evaluate_zsl(model, dataset, embeddings, split)
     print(f"normalized_accuracy\t{io._fmt(result.normalized_accuracy)}")
     for cls, acc in result.per_class_accuracy.items():
@@ -171,13 +189,14 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     _require(cfg, ("checkpoint", "features"), "predict")
+    split = _setting(cfg, "eval_split")
     features = io.load_features(cfg["features"],
                                 l2_normalize=cfg.get("l2_normalize", False))
     embeddings = _load_embeddings(cfg)
     model = _checkpoint_model(cfg, embeddings)
     if "splits" in cfg:
         splits = io.load_splits(cfg["splits"])
-        candidates = splits.classes(cfg.get("eval_split", "zsl_test"))
+        candidates = splits.classes(split)
     else:
         candidates = embeddings.class_names
     S = score_matrix(model, features.matrix,
@@ -194,19 +213,17 @@ def cmd_predict(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
-    grid = args.grid or cfg.get("grid", "all")
-    if grid not in ("embeddings", "linear", "all"):
-        raise ConfigError(f"grid must be embeddings, linear or all, got {grid!r}")
+    grid = _setting(cfg, "grid", args.grid)
+    repeats = _setting(cfg, "repeats")
+    eval_split = _setting(cfg, "eval_split")
     dataset = _load_dataset(cfg)
     config = _train_config(cfg)
-    repeats = cfg.get("repeats", 1)
-    eval_split = cfg.get("eval_split", "zsl_test")
     std_col = "\tstd" if repeats > 1 else ""
 
     if grid in ("embeddings", "all"):
-        inputs = _embedding_sources(cfg, SOURCE_ORDER)
+        sources, inputs = _embedding_sources(cfg)
         rows = ablate_embeddings(dataset, inputs, config,
-                                 eval_split=eval_split, repeats=repeats,
+                                 sources=sources, eval_split=eval_split, repeats=repeats,
                                  normalize_blocks=cfg.get("normalize_blocks", False))
         print("# embedding-subset grid")
         print("attribute\ttaxonomy\tword\tnormalized_accuracy" + std_col)
@@ -265,6 +282,8 @@ def validate_experiment(cfg: dict) -> ValidationReport:
                   if "embeddings" in cfg or splits is not None else None)
     checkpoint = load_file("checkpoint", io.load_checkpoint)
     attempt("training settings", lambda: _train_config(cfg))
+    for key in _SETTINGS:
+        attempt("settings", lambda: _setting(cfg, key))
 
     if splits is not None:
         violations.extend(splits.overlap_violations())

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import ClassEmbeddingSet, EmbeddingSources, build_class_embeddings
+from .embeddings import (SOURCE_ORDER, ClassEmbeddingSet, EmbeddingSources,
+                         build_class_embeddings)
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -206,14 +207,17 @@ def _train_and_score(dataset, embeddings, config, eval_split, repeats):
 
 
 def ablate_embeddings(dataset: SplitDataset, inputs: EmbeddingSources, config,
-                      *, eval_split: str = "zsl_test", repeats: int = 1,
+                      *, sources: Sequence[str] = SOURCE_ORDER,
+                      eval_split: str = "zsl_test", repeats: int = 1,
                       normalize_blocks: bool = False) -> list[AblationRow]:
-    """Train and evaluate one model per non-empty subset of the three
-    embedding sources. Rows share the config seed so they are comparable;
+    """Train and evaluate one model per non-empty subset of `sources`, in
+    EMBEDDING_SUBSETS order. Rows share the config seed so they are comparable;
     repeats > 1 reports mean and standard deviation over shifted seeds."""
     all_classes = dataset.splits.all_classes()
     rows = []
     for subset in EMBEDDING_SUBSETS:
+        if not set(subset) <= set(sources):
+            continue
         embeddings = build_class_embeddings(all_classes, subset, inputs,
                                             normalize_blocks=normalize_blocks)
         mean, std = _train_and_score(dataset, embeddings, config, eval_split, repeats)

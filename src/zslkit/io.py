@@ -4,7 +4,7 @@ All data files are line-oriented UTF-8 text with explicit headers so they
 diff cleanly; only model checkpoints use a compact binary layout. Only the
 newline character ends a line, and a carriage return before it is stripped;
 other line-break characters are whitespace within a line. Text files are read
-one line at a time. Formats:
+one line at a time, and a load reports the first fault in reading order. Formats:
 
   features     header `d=<int> n=<int> normalized=<0|1>`, then `id v1 ... vd`
   labels       `id<TAB>class_label`
@@ -63,74 +63,31 @@ def _fmt_layout(layout) -> str:
     return ";".join(f"{tag}:{off}:{ln}" for tag, off, ln in layout)
 
 
-class _TextLines:
-    """The non-blank lines of a UTF-8 text file as (1-based line number,
-    stripped line), read one line at a time, so a load holds one line and not
-    the file. Lines end at b"\\n"; no multibyte UTF-8 sequence contains that
-    byte, so each line decodes as it would within the whole file.
-
-    As a `with` block it reports errors in the order a parse of the whole
-    decoded file gave them: a byte that is not UTF-8 anywhere in the file,
-    then a header whose row count the file does not have (`expect_rows`),
-    then the error the block raised."""
-
-    def __init__(self, path):
-        self.path = path
-        self.read = 0  # lines yielded so far
-        self._expect = None  # (header line, declared rows, lines read before them)
-        self._file = open(path, "rb")
-        self._lines = self._decode()
-
-    def _decode(self):
-        for no, raw in enumerate(self._file, start=1):
+def _text_lines(path):
+    """Yield (1-based line number, stripped line) for each non-blank line of
+    a UTF-8 text file, read one line at a time: a load holds one line, not the
+    file. Lines end at b"\\n", which no multibyte UTF-8 sequence contains. A
+    byte that is not UTF-8 raises ParseError when its line is reached."""
+    with open(path, "rb") as f:
+        for no, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
-                raise ParseError(self.path, no, "not valid UTF-8 text") from None
+                raise ParseError(path, no, "not valid UTF-8 text") from None
             if line:
-                self.read += 1
                 yield no, line
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return next(self._lines)
-
-    def expect_rows(self, line: int, n: int) -> None:
-        """The lines after those read so far must number `n`, as the header at
-        `line` declares. Checked when the block ends, before its own error."""
-        self._expect = (line, n, self.read)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, tb):
-        with self._file:
-            if exc is not None and not isinstance(exc, ZslError):
-                return
-            if exc is not None:  # the block may have stopped before a bad byte
-                self._file.seek(0)
-                self.read, self._lines = 0, self._decode()
-            for _ in self:
-                pass
-            if self._expect is not None:
-                line, n, before = self._expect
-                if self.read - before != n:
-                    raise ParseError(self.path, line, f"header declares n={n} but "
-                                                      f"file has {self.read - before} rows")
 
 
 def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _tab_pairs(lines: _TextLines, usage: str):
-    """Yield (line number, key, value) for `key<TAB>value` lines."""
-    for no, line in lines:
+def _tab_pairs(path, usage: str):
+    """Yield (line number, key, value) for the `key<TAB>value` lines of a file."""
+    for no, line in _text_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ParseError(lines.path, no, f"expected '{usage}'")
+            raise ParseError(path, no, f"expected '{usage}'")
         yield no, parts[0], parts[1]
 
 
@@ -139,14 +96,13 @@ def _read_pairs(path, usage: str, key_kind: str, parse=None) -> dict:
     `parse(key, value)`, if given, converts each value; a `ZslError` it
     raises becomes a `ParseError` at that line."""
     out: dict = {}
-    with _TextLines(path) as lines:
-        for no, key, value in _tab_pairs(lines, usage):
-            if key in out:
-                raise ParseError(path, no, f"duplicate {key_kind} {key!r}")
-            try:
-                out[key] = value if parse is None else parse(key, value)
-            except ZslError as exc:
-                raise ParseError(path, no, str(exc)) from None
+    for no, key, value in _tab_pairs(path, usage):
+        if key in out:
+            raise ParseError(path, no, f"duplicate {key_kind} {key!r}")
+        try:
+            out[key] = value if parse is None else parse(key, value)
+        except ZslError as exc:
+            raise ParseError(path, no, str(exc)) from None
     return out
 
 
@@ -154,12 +110,10 @@ def _write_pairs(path, pairs: Mapping[str, str]) -> None:
     _write_lines(path, (f"{k}\t{v}" for k, v in pairs.items()))
 
 
-def _header(lines: _TextLines, line, usage: str) -> dict[str, int]:
+def _header(path, line, usage: str) -> dict[str, int]:
     """The integer fields of a `d=<int> n=<int> normalized=<0|1>` or
     `m=<int> n=<int>` header line, whose keys `usage` spells. The first key
-    is the row width and must be >= 1; `n` must count the lines after those
-    read so far."""
-    path = lines.path
+    is the row width and must be >= 1; `_read_rows` checks `n`."""
     no, text = line
     keys = [tok.split("=", 1)[0] for tok in usage.split()]
     fields = dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
@@ -172,7 +126,6 @@ def _header(lines: _TextLines, line, usage: str) -> dict[str, int]:
         raise ParseError(path, no, f"header needs {width} >= 1, got {width}={out[width]}")
     if out.get("normalized", 0) not in (0, 1):
         raise ParseError(path, no, f"header needs normalized=0 or 1, got {out['normalized']}")
-    lines.expect_rows(no, out["n"])
     return out
 
 
@@ -218,38 +171,38 @@ def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | No
     holds."""
     line_of: dict[str, int] = {}  # label -> line number, in file order
     rows: list[list[float]] = []
-    with _TextLines(path) as lines:
-        for no, line in itertools.islice(lines, skip, None):
-            if sep is None:
-                label, *values = line.split()
-            else:
-                parts = line.split(sep)
-                if len(parts) != 2:
-                    raise ParseError(path, no, f"expected '{kind}<TAB>v1 v2 ...'")
-                label, values = parts[0], parts[1].split()
-            if width is None:
-                width = len(values) or 1  # a label alone is a short row
-            if len(values) != width:
-                raise ParseError(path, no, f"expected {kind} plus {width} value(s), "
-                                           f"got {len(values)}")
-            if label in line_of:
-                raise ParseError(path, no, f"duplicate {kind} {label!r}")
-            line_of[label] = no
-            try:
-                rows.append([float(v) for v in values])
-            except ValueError:
-                raise ParseError(path, no, f"non-numeric value in {kind} row") from None
+    for no, line in itertools.islice(_text_lines(path), skip, None):
+        if sep is None:
+            label, *values = line.split()
+        else:
+            parts = line.split(sep)
+            if len(parts) != 2:
+                raise ParseError(path, no, f"expected '{kind}<TAB>v1 v2 ...'")
+            label, values = parts[0], parts[1].split()
+        if width is None:
+            width = len(values) or 1  # a label alone is a short row
+        if len(values) != width:
+            raise ParseError(path, no, f"expected {kind} plus {width} value(s), "
+                                       f"got {len(values)}")
+        if label in line_of:
+            raise ParseError(path, no, f"duplicate {kind} {label!r}")
+        line_of[label] = no
+        try:
+            rows.append([float(v) for v in values])
+        except ValueError:
+            raise ParseError(path, no, f"non-numeric value in {kind} row") from None
     return line_of, np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
 
 
-def _read_rows(lines: _TextLines, width: int | None, kind: str, sep: str | None = None):
-    """Parse the `label<sep>v1 ... vN` lines left in `lines` (whitespace
-    between the values) into the labels, an (n, N) float64 matrix and each
-    row's line number. N is `width`, or the first row's length when `width`
-    is None. A clean body is converted by numpy's text reader as it is read;
-    any other body is read again by the row loop, which names the first bad
-    line. Labels must be unique and values finite."""
-    path, skip = lines.path, lines.read
+def _read_rows(path, lines, skip: int, width: int | None, kind: str,
+               sep: str | None = None, declared: tuple[int, int] | None = None):
+    """Parse the `label<sep>v1 ... vN` lines left in `lines`, the file's lines
+    after the first `skip`, into the labels, an (n, N) float64 matrix and each
+    row's line number. N is `width`, or the first row's length when `width` is
+    None. A clean body is converted by numpy's text reader as it is read; any
+    other body is read again by the row loop, which names the first bad line.
+    Labels must be unique and values finite; then the (line, n) of a header,
+    if `declared`, must count the rows."""
     line_of, matrix = (_convert_body(lines, width, sep)
                        or _read_rows_loop(path, skip, width, kind, sep))
     row_lines = list(line_of.values())
@@ -257,6 +210,9 @@ def _read_rows(lines: _TextLines, width: int | None, kind: str, sep: str | None 
     if not finite_rows.all():
         raise ParseError(path, row_lines[int(np.argmin(finite_rows))],
                          "non-finite value (nan or inf)")
+    if declared is not None and declared[1] != len(row_lines):
+        raise ParseError(path, declared[0], f"header declares n={declared[1]} but "
+                                            f"file has {len(row_lines)} rows")
     return tuple(line_of), matrix, row_lines
 
 
@@ -310,20 +266,21 @@ def l2_normalize_rows(matrix: np.ndarray, ids=None) -> np.ndarray:
 
 
 def load_features(path, l2_normalize: bool = False) -> FeatureSet:
-    with _TextLines(path) as lines:
-        first = next(lines, None)
-        if first is None:
-            raise ParseError(path, 1, "empty feature file")
-        header = _header(lines, first, "d=<int> n=<int> normalized=<0|1>")
-        ids, rows, row_lines = _read_rows(lines, header["d"], "instance id")
-        normalized = header["normalized"] == 1
-        if normalized:
-            norms = _row_norms(rows)
-            off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
-            if off.size:
-                raise ParseError(path, row_lines[off[0]],
-                                 f"row {ids[off[0]]!r} declared normalized but has "
-                                 f"norm {norms[off[0]]!r}")
+    lines = _text_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(path, 1, "empty feature file")
+    header = _header(path, first, "d=<int> n=<int> normalized=<0|1>")
+    ids, rows, row_lines = _read_rows(path, lines, 1, header["d"], "instance id",
+                                      declared=(first[0], header["n"]))
+    normalized = header["normalized"] == 1
+    if normalized:
+        norms = _row_norms(rows)
+        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+        if off.size:
+            raise ParseError(path, row_lines[off[0]],
+                             f"row {ids[off[0]]!r} declared normalized but has "
+                             f"norm {norms[off[0]]!r}")
     if l2_normalize:
         rows = l2_normalize_rows(rows, ids)
         normalized = True
@@ -353,25 +310,23 @@ def load_splits(path) -> ClassSplits:
     cross-section overlap is semantic and left to ClassSplits checks."""
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    with _TextLines(path) as lines:
-        for no, line in lines:
-            if line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1]
-                if name not in SPLIT_NAMES:
-                    raise ParseError(path, no, f"unknown section {name!r}")
-                if name in sections:
-                    raise ParseError(path, no, f"duplicate section {name!r}")
-                sections[name] = []
-                current = name
-            else:
-                if current is None:
-                    raise ParseError(path, no, "class name before any section header")
-                if line in sections[current]:
-                    raise ParseError(path, no,
-                                     f"class {line!r} listed twice in [{current}]")
-                sections[current].append(line)
+    for no, line in _text_lines(path):
+        if line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
+            if name not in SPLIT_NAMES:
+                raise ParseError(path, no, f"unknown section {name!r}")
+            if name in sections:
+                raise ParseError(path, no, f"duplicate section {name!r}")
+            sections[name] = []
+            current = name
+        elif current is None:
+            raise ParseError(path, no, "class name before any section header")
+        elif line in sections[current]:
+            raise ParseError(path, no, f"class {line!r} listed twice in [{current}]")
+        else:
+            sections[current].append(line)
     missing = [s for s in SPLIT_NAMES if s not in sections]
     if missing:
         raise ParseError(path, 1, f"missing section(s) {missing}")
@@ -410,8 +365,7 @@ def load_dataset(features_path, labels_path, splits_path,
 # ---------------------------------------------------------------------------
 
 def load_word_vectors(path) -> WordVectorTable:
-    with _TextLines(path) as lines:
-        tokens, matrix, _ = _read_rows(lines, None, "token")
+    tokens, matrix, _ = _read_rows(path, _text_lines(path), 0, None, "token")
     if not tokens:
         raise ParseError(path, 1, "empty word-vector file")
     return WordVectorTable(matrix.shape[1], dict(zip(tokens, matrix)))
@@ -422,9 +376,8 @@ def save_word_vectors(path, table: WordVectorTable) -> None:
 
 
 def load_taxonomy(path) -> TaxonomyTree:
-    with _TextLines(path) as lines:
-        edges = [(child, parent) for _, child, parent
-                 in _tab_pairs(lines, "child_label<TAB>parent_label")]
+    edges = [(child, parent) for _, child, parent
+             in _tab_pairs(path, "child_label<TAB>parent_label")]
     if not edges:
         raise ParseError(path, 1, "empty taxonomy file")
     return TaxonomyTree.from_edges(edges)
@@ -463,24 +416,22 @@ def save_attribute_schema(path, schema: AttributeSchema) -> None:
 
 def load_attribute_assignments(path) -> dict[str, AttributeAssignment]:
     out: dict[str, AttributeAssignment] = {}
-    with _TextLines(path) as lines:
-        for no, line in lines:
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ParseError(path, no,
-                                 "expected 'class<TAB>attr=v1,v2<TAB>...'")
-            name = parts[0]
-            if name in out:
-                raise ParseError(path, no, f"duplicate class {name!r}")
-            chosen: dict[str, frozenset[str]] = {}
-            for field in parts[1:]:
-                if "=" not in field:
-                    raise ParseError(path, no, f"field {field!r} lacks '='")
-                attr, values = field.split("=", 1)
-                if attr in chosen:
-                    raise ParseError(path, no, f"class {name!r}: attribute {attr!r} repeated")
-                chosen[attr] = frozenset(v.strip() for v in values.split(",") if v.strip())
-            out[name] = AttributeAssignment(name, chosen)
+    for no, line in _text_lines(path):
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise ParseError(path, no, "expected 'class<TAB>attr=v1,v2<TAB>...'")
+        name = parts[0]
+        if name in out:
+            raise ParseError(path, no, f"duplicate class {name!r}")
+        chosen: dict[str, frozenset[str]] = {}
+        for field in parts[1:]:
+            if "=" not in field:
+                raise ParseError(path, no, f"field {field!r} lacks '='")
+            attr, values = field.split("=", 1)
+            if attr in chosen:
+                raise ParseError(path, no, f"class {name!r}: attribute {attr!r} repeated")
+            chosen[attr] = frozenset(v.strip() for v in values.split(",") if v.strip())
+        out[name] = AttributeAssignment(name, chosen)
     return out
 
 
@@ -498,22 +449,23 @@ def save_attribute_assignments(path, assignments: Mapping[str, AttributeAssignme
 # ---------------------------------------------------------------------------
 
 def load_class_embeddings(path) -> ClassEmbeddingSet:
-    with _TextLines(path) as lines:
-        first, second = next(lines, None), next(lines, None)
-        if second is None:
-            raise ParseError(path, 1, "embedding file needs two header lines")
-        header = _header(lines, first, "m=<int> n=<int>")
-        h2_no, h2 = second
-        if not h2.startswith("blocks="):
-            raise ParseError(path, h2_no, "second header line must be 'blocks=...'")
-        layout = []
-        for item in h2[len("blocks="):].split(";"):
-            try:
-                tag, off, ln = item.split(":")
-                layout.append((tag, int(off), int(ln)))
-            except ValueError:
-                raise ParseError(path, h2_no, f"bad block spec {item!r}") from None
-        names, matrix, _ = _read_rows(lines, header["m"], "class", sep="\t")
+    lines = _text_lines(path)
+    first, second = next(lines, None), next(lines, None)
+    if second is None:
+        raise ParseError(path, 1, "embedding file needs two header lines")
+    header = _header(path, first, "m=<int> n=<int>")
+    h2_no, h2 = second
+    if not h2.startswith("blocks="):
+        raise ParseError(path, h2_no, "second header line must be 'blocks=...'")
+    layout = []
+    for item in h2[len("blocks="):].split(";"):
+        try:
+            tag, off, ln = item.split(":")
+            layout.append((tag, int(off), int(ln)))
+        except ValueError:
+            raise ParseError(path, h2_no, f"bad block spec {item!r}") from None
+    names, matrix, _ = _read_rows(path, lines, 2, header["m"], "class", sep="\t",
+                                  declared=(first[0], header["n"]))
     return ClassEmbeddingSet(names, matrix, tuple(layout))
 
 
@@ -634,20 +586,19 @@ def parse_config_entry(key: str, raw: str):
 
 def load_config(path) -> dict:
     out: dict = {}
-    with _TextLines(path) as lines:
-        for no, line in lines:
-            if line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(path, no, "expected 'key=value'")
-            key, raw = line.split("=", 1)
-            key, raw = key.strip(), raw.strip()
-            if key in out:
-                raise ParseError(path, no, f"duplicate config key {key!r}")
-            try:
-                out[key] = parse_config_entry(key, raw)
-            except ConfigError as exc:
-                raise ParseError(path, no, str(exc)) from None
+    for no, line in _text_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(path, no, "expected 'key=value'")
+        key, raw = line.split("=", 1)
+        key, raw = key.strip(), raw.strip()
+        if key in out:
+            raise ParseError(path, no, f"duplicate config key {key!r}")
+        try:
+            out[key] = parse_config_entry(key, raw)
+        except ConfigError as exc:
+            raise ParseError(path, no, str(exc)) from None
     return out
 
 

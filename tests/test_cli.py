@@ -222,6 +222,15 @@ class TestAblateCommand:
         rows = grid_rows(capsys.readouterr().out, "# linear-term grid")
         assert len(rows) == 4
 
+    def test_embeddings_grid_loads_only_the_configured_sources(self, experiment, capsys):
+        tmp, config = experiment
+        cyclic_taxonomy(tmp)
+        argv = ["--config", str(config), "--set", "sources=word"]
+        assert main(["validate", *argv]) == 0
+        assert main(["ablate", *argv, "--grid", "embeddings"]) == 0
+        rows = grid_rows(capsys.readouterr().out, "# embedding-subset grid")
+        assert len(rows) == 1 and rows[0].startswith("0\t0\t1\t")
+
     def test_all_emits_both_tables(self, experiment, capsys):
         _, config = experiment
         assert main(["ablate", "--config", str(config)]) == 0
@@ -578,6 +587,11 @@ class TestValidateAgreement:
         case("train", "batch_size", "batch_size=0"),
         case("train", "optimizer", "optimizer=bogus"),
         case("train", "eval_every", "eval_every=999999"),
+        case("ablate", "repeats must be >= 1, got 0", "repeats=0"),
+        case("ablate", "'bogus'", "grid=bogus"),
+        case("eval", "'bogus'", EMBEDDINGS, CHECKPOINT, "eval_split=bogus"),
+        case("predict", "'bogus'", EMBEDDINGS, CHECKPOINT, "eval_split=bogus"),
+        case("ablate", "'bogus'", "eval_split=bogus"),
         case("embed", repeated_schema_value),
         case("embed", single_schema_value),
         case("embed", missing_word_vectors),

@@ -422,53 +422,23 @@ class TestLoadersOnArbitraryInput:
 
 
 # The whole-file reader the text loaders used before they streamed, kept as
-# the reference for io._TextLines.
-def _read_text(path) -> str:
+# the reference for io._text_lines.
+def whole_file_lines(path):
+    """io._text_lines from a file read and decoded whole before any line is
+    parsed: the non-blank lines before the first byte that is not UTF-8,
+    then a ParseError at that byte's line."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text, bad_line = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
-                         "not valid UTF-8 text") from None
-
-
-def _data_lines(path):
-    """Yield (1-based line number, stripped line), skipping blanks."""
-    for no, raw in enumerate(_read_text(path).split("\n"), start=1):
+        text = data[:exc.start].decode("utf-8")
+        bad_line = data.count(b"\n", 0, exc.start) + 1
+    for no, raw in enumerate(text.split("\n"), start=1):
+        if no == bad_line:
+            raise ParseError(path, no, "not valid UTF-8 text")
         line = raw.strip()
         if line:
             yield no, line
-
-
-class WholeFileLines:
-    """io._TextLines as the whole-file reader gave it: the file is decoded
-    before any line is parsed, and a header's row count is checked when the
-    header is read."""
-
-    def __init__(self, path):
-        self.path = path
-        self.read = 0
-        self._lines = list(_data_lines(path))
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self.read == len(self._lines):
-            raise StopIteration
-        self.read += 1
-        return self._lines[self.read - 1]
-
-    def expect_rows(self, line, n):
-        rows = len(self._lines) - self.read
-        if n != rows:
-            raise ParseError(self.path, line, f"header declares n={n} but file has {rows} rows")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 def outcome(loader, path):
@@ -481,24 +451,47 @@ def outcome(loader, path):
 
 
 class TestStreamedLoaders:
-    """Every text loader reads one line at a time and gives what it gave when
-    it read the whole file first: the same value, or the same error at the
+    """Every text loader reads one line at a time and gives what it gives on
+    the file decoded whole first: the same value, or the same error at the
     same line."""
 
     @pytest.mark.parametrize("loader", TEXT_LOADERS, ids=lambda f: f.__name__)
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.lists(st.sampled_from(FRAGMENTS + [b"\xff", b"\r", b"\r\n"]),
                          max_size=30).map(b"".join))
-    # line 2 is malformed for most loaders; the bad byte on line 5 is reported
+    # every loader refuses line 1 or 2, and reports it before the bad byte
+    # on line 5
     @example(data=b"d=1 n=3 normalized=0\tA\nA\nb 1.0\n\n\xff 1.0\n")
-    # the numeric reader meets the bad byte before the rows are all counted
+    # the numeric reader meets the bad byte on line 3 and hands the body to
+    # the row loop, which reports it
     @example(data=b"d=1 n=2 normalized=0\na 1.0\n\xff 2.0\n")
     def test_same_as_whole_file_reader(self, loader, data, fuzz_dir):
         path = fuzz_dir / f"oracle_{loader.__name__}.txt"
         path.write_bytes(data)
-        with mock.patch.object(io, "_TextLines", WholeFileLines):
+        with mock.patch.object(io, "_text_lines", whole_file_lines):
             expected = outcome(loader, path)
         assert outcome(loader, path) == expected
+
+    @pytest.mark.parametrize("loader, data, line, message", [
+        (io.load_features, b"d=1 n=2 normalized=0\na x\n\xff 1.0\n",
+         2, "non-numeric value in instance id row"),
+        (io.load_labels, b"a\tc\nb\n\xff\tc\n", 2, "expected 'id<TAB>class_label'"),
+        (io.load_features, b"d=1 n=5 normalized=0\na x\nb 1.0\n",
+         2, "non-numeric value in instance id row"),
+        (io.load_class_embeddings, b"m=1 n=3\nblocks=word:0:1\na\t1.0\na\t2.0\n",
+         4, "duplicate class 'a'"),
+        (io.load_features, b"d=1 n=3 normalized=0\na 1.0\n\nb 2.0\n",
+         1, "header declares n=3 but file has 2 rows"),
+    ], ids=["bad-row-before-bad-byte", "bad-pair-before-bad-byte",
+            "bad-row-and-wrong-n", "repeated-class-and-wrong-n", "wrong-n-clean-body"])
+    def test_first_fault_in_reading_order(self, tmp_path, loader, data, line, message):
+        """The earlier of two faults is reported; a header's wrong row count
+        only when the rows after it parse."""
+        path = tmp_path / "data.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            loader(path)
+        assert (exc.value.line, str(exc.value)) == (line, f"{path}:{line}: {message}")
 
 
 def traced_peak(load, path):
