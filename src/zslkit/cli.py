@@ -83,11 +83,17 @@ _SOURCE_FILES = {
 }
 
 
-def _embedding_sources(cfg: dict) -> tuple[tuple[str, ...], EmbeddingSources]:
-    """The configured sources, in layout order, and their loaded inputs."""
+def _source_settings(cfg: dict) -> tuple[tuple[str, ...], EmbeddingSources]:
+    """The configured sources, in layout order, and inputs holding only the
+    word policy; both settings are checked, also for `validate`."""
     raw = cfg.get("sources", ",".join(SOURCE_ORDER))
     sources = ordered_sources(s.strip() for s in raw.split(",") if s.strip())
-    inputs = EmbeddingSources(word_policy=cfg.get("word_policy", "strict"))
+    return sources, EmbeddingSources(word_policy=cfg.get("word_policy", "strict"))
+
+
+def _embedding_sources(cfg: dict) -> tuple[tuple[str, ...], EmbeddingSources]:
+    """The configured sources, in layout order, and their loaded inputs."""
+    sources, inputs = _source_settings(cfg)
     for source, files in _SOURCE_FILES.items():
         if source in sources:
             _require(cfg, [key for _, key in files], f"{source} source")
@@ -218,6 +224,8 @@ def cmd_ablate(args) -> int:
     eval_split = _setting(cfg, "eval_split")
     dataset = _load_dataset(cfg)
     config = _train_config(cfg)
+    # The linear grid's embeddings load before the embedding grid trains.
+    embeddings = _load_embeddings(cfg) if grid in ("linear", "all") else None
     std_col = "\tstd" if repeats > 1 else ""
 
     if grid in ("embeddings", "all"):
@@ -233,7 +241,6 @@ def cmd_ablate(args) -> int:
             extra = f"\t{io._fmt(row.std)}" if repeats > 1 else ""
             print(f"{flags}\t{io._fmt(row.accuracy)}{extra}")
     if grid in ("linear", "all"):
-        embeddings = _load_embeddings(cfg)
         rows = ablate_linear_terms(dataset, embeddings, config,
                                    eval_split=eval_split, repeats=repeats)
         print("# linear-term grid")
@@ -278,8 +285,9 @@ def validate_experiment(cfg: dict) -> ValidationReport:
                          l2_normalize=cfg.get("l2_normalize", False))
     labels = load_file("labels", io.load_labels)
     splits = load_file("splits", io.load_splits)
+    settings = attempt("settings", lambda: _source_settings(cfg))
     embeddings = (attempt("embeddings", lambda: _load_embeddings(cfg))
-                  if "embeddings" in cfg or splits is not None else None)
+                  if "embeddings" in cfg or (splits and settings) else None)
     checkpoint = load_file("checkpoint", io.load_checkpoint)
     attempt("training settings", lambda: _train_config(cfg))
     for key in _SETTINGS:

@@ -66,17 +66,6 @@ class AttributeSchema:
     def n_pairs(self) -> int:
         return sum(len(values) for _, values in self.attributes)
 
-    def pairs(self) -> Iterable[tuple[str, str]]:
-        for name, values in self.attributes:
-            for v in values:
-                yield name, v
-
-    def values_of(self, attribute: str) -> tuple[str, ...]:
-        for name, values in self.attributes:
-            if name == attribute:
-                return values
-        raise SchemaMismatchError(f"unknown attribute {attribute!r}")
-
 
 @dataclass(frozen=True)
 class AttributeAssignment:
@@ -93,13 +82,12 @@ class AttributeAssignment:
 
 def encode_attributes(schema: AttributeSchema, assignment: AttributeAssignment) -> np.ndarray:
     """Multi-hot vector over the schema's (attribute, value) pairs in schema order."""
-    schema_names = {name for name, _ in schema.attributes}
+    legal = dict(schema.attributes)
     for attr, values in assignment.chosen.items():
-        if attr not in schema_names:
+        if attr not in legal:
             raise SchemaMismatchError(
                 f"class {assignment.class_name!r}: unknown attribute {attr!r}")
-        legal = set(schema.values_of(attr))
-        illegal = values - legal
+        illegal = values - set(legal[attr])
         if illegal:
             raise SchemaMismatchError(
                 f"class {assignment.class_name!r}: illegal value(s) "

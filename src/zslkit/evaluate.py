@@ -214,12 +214,12 @@ def ablate_embeddings(dataset: SplitDataset, inputs: EmbeddingSources, config,
     EMBEDDING_SUBSETS order. Rows share the config seed so they are comparable;
     repeats > 1 reports mean and standard deviation over shifted seeds."""
     all_classes = dataset.splits.all_classes()
+    # Every subset builds before the first model trains.
+    grid = [(subset, build_class_embeddings(all_classes, subset, inputs,
+                                            normalize_blocks=normalize_blocks))
+            for subset in EMBEDDING_SUBSETS if set(subset) <= set(sources)]
     rows = []
-    for subset in EMBEDDING_SUBSETS:
-        if not set(subset) <= set(sources):
-            continue
-        embeddings = build_class_embeddings(all_classes, subset, inputs,
-                                            normalize_blocks=normalize_blocks)
+    for subset, embeddings in grid:
         mean, std = _train_and_score(dataset, embeddings, config, eval_split, repeats)
         rows.append(AblationRow(subset, mean, std))
     return rows

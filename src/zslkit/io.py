@@ -255,13 +255,12 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def l2_normalize_rows(matrix: np.ndarray, ids=None) -> np.ndarray:
+def l2_normalize_rows(matrix: np.ndarray, ids) -> np.ndarray:
     norms = _row_norms(matrix)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        which = ids[zero[0]] if ids is not None else f"row {zero[0]}"
         raise DegenerateFeatureError(
-            f"cannot length-normalize zero feature vector ({which})")
+            f"cannot length-normalize zero feature vector ({ids[zero[0]]})")
     return matrix / norms[:, None]
 
 

@@ -181,8 +181,8 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     batch_rng = component_rng(config.seed, "batch")
     records: list[EvalRecord] = []
     best_iteration = 0
-    best_accuracy = -1.0
-    best_W_e = W_e.copy()
+    best_accuracy = -1.0  # any accuracy beats it, so the first snapshot fills best_W_e
+    best_W_e = np.empty_like(W_e)
 
     def fill_grad(start, stop, out):
         """Rows [start, stop) of this iteration's gradient, frozen terms
@@ -205,14 +205,14 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
                 if not np.isfinite(W_e).all():
                     raise DivergenceError(
                         f"training diverged at iteration {t}: parameters are not finite")
-                snapshot = CompatModel(W_e.copy())
-                acc = evaluate_zsl(snapshot, dataset, embeddings,
+                # Scored in place: evaluate_zsl only reads the model.
+                acc = evaluate_zsl(CompatModel(W_e), dataset, embeddings,
                                    "zsl_validation").normalized_accuracy
                 records.append(EvalRecord(t, batch_nll, acc))
                 if acc > best_accuracy:
                     best_accuracy = acc
                     best_iteration = t
-                    best_W_e = snapshot.W_e
+                    np.copyto(best_W_e, W_e)
 
     return TrainReport(records, best_iteration, best_accuracy,
                        CompatModel(best_W_e))

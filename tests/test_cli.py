@@ -427,6 +427,65 @@ def config_without_source_keys(tmp):
     return "attribute source needs config key(s): attribute_schema, attribute_assignments"
 
 
+def repeated_seen_section(tmp):
+    lines = (tmp / "splits.txt").read_text().splitlines() + ["[seen]"]
+    (tmp / "splits.txt").write_text("\n".join(lines) + "\n")
+    return f"splits.txt:{len(lines)}: duplicate section 'seen'"
+
+
+def empty_seen_section(tmp):
+    splits = io.load_splits(tmp / "splits.txt")
+    io.save_splits(tmp / "splits.txt",
+                   ClassSplits((), splits.zsl_validation, splits.zsl_test + splits.seen))
+    return "splits.txt:1: the [seen] section must be non-empty"
+
+
+def tokenless_class_name(tmp):
+    splits = io.load_splits(tmp / "splits.txt")
+    io.save_splits(tmp / "splits.txt",
+                   ClassSplits(splits.seen, splits.zsl_validation, splits.zsl_test + ("/",)))
+    return "name '/' has no tokens"
+
+
+def label_without_feature_row(tmp):
+    with open(tmp / "labels.tsv", "a", encoding="utf-8") as f:
+        f.write("orphan\tclass00\n")
+    return "'orphan'"
+
+
+def label_outside_every_split(tmp):
+    lines = (tmp / "labels.tsv").read_text().split("\n")
+    lines[0] = lines[0].split("\t")[0] + "\tstray"
+    (tmp / "labels.tsv").write_text("\n".join(lines))
+    return "'stray'"
+
+
+def repeated_assignment_line(tmp):
+    lines = (tmp / "attr_assignments.tsv").read_text().splitlines()
+    (tmp / "attr_assignments.tsv").write_text("\n".join(lines + lines[:1]) + "\n")
+    return f"attr_assignments.tsv:{len(lines) + 1}: duplicate class"
+
+
+def word_table_without_last_class(tmp):
+    lines = (tmp / "word_vectors.txt").read_text().splitlines()
+    (tmp / "word_vectors.txt").write_text("\n".join(lines[:-1]) + "\n")
+    return repr(lines[-1].split()[0])
+
+
+def short_block_spec(tmp):
+    lines = (tmp / "embeddings.txt").read_text().split("\n")
+    lines[1] = "blocks=word:0"
+    (tmp / "embeddings.txt").write_text("\n".join(lines))
+    return "embeddings.txt:2: bad block spec 'word:0'"
+
+
+def checkpoint_of_other_d(tmp):
+    checkpoint = io.load_checkpoint(tmp / "model.ckpt")
+    io.save_checkpoint(tmp / "model.ckpt", CompatModel.zeros(3, checkpoint.model.m),
+                       checkpoint.classes, checkpoint.block_layout)
+    return "expected (n, 3)"
+
+
 def zero_unnormalized_feature_row(tmp):
     lines = (tmp / "features.txt").read_text().split("\n")
     lines[0] = lines[0].replace("normalized=1", "normalized=0")
@@ -437,8 +496,8 @@ def zero_unnormalized_feature_row(tmp):
 
 
 class TestMalformedInputs:
-    """Each malformed file ends the command with exit 1 and one error line
-    naming the file and line, never a traceback."""
+    """Each malformed input ends the command with exit 1 and one error line,
+    never a traceback; for a malformed file, the line names the file and line."""
 
     @pytest.mark.parametrize("corrupt", [
         corrupt_labels_encoding, negative_feature_dimension,
@@ -447,7 +506,7 @@ class TestMalformedInputs:
         huge_feature_dimension, huge_embedding_dimension, huge_feature_row_count,
         huge_embedding_row_count, normalized_flag_two,
         repeated_class_row, checkpoint_meta_infinite_dimension, form_feed_inside_a_row,
-        nan_checkpoint_entry])
+        nan_checkpoint_entry, checkpoint_of_other_d])
     def test_single_error_line(self, experiment, capsys, corrupt):
         tmp, config = experiment
         argv = eval_args(tmp, config)
@@ -485,6 +544,40 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: repeats must be >= 1, got 0"]
 
+    def test_train_refuses_seen_classes_without_instances(self, experiment, capsys):
+        # `validate` does not count instances, so this is no TestValidateAgreement row
+        tmp, config = experiment
+        seen = set(io.load_splits(tmp / "splits.txt").seen)
+        labels = io.load_labels(tmp / "labels.tsv")
+        features = io.load_features(tmp / "features.txt")
+        keep = [k for k, i in enumerate(features.ids) if labels[i] not in seen]
+        ids = tuple(features.ids[k] for k in keep)
+        io.save_features(tmp / "features.txt",
+                         io.FeatureSet(ids, features.matrix[keep], True))
+        io.save_labels(tmp / "labels.tsv", {i: labels[i] for i in ids})
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seen split has no training instances"]
+
+    @pytest.mark.parametrize("grid,corrupt,settings", [
+        ("embeddings", word_table_without_last_class, []),
+        ("all", negative_embedding_dimension, ["--set", "embeddings=embeddings.txt"])],
+        ids=["embeddings-word_table_without_last_class", "all-negative_embedding_dimension"])
+    def test_ablate_refuses_before_training(self, experiment, capsys, monkeypatch,
+                                            grid, corrupt, settings):
+        tmp, config = experiment
+        eval_args(tmp, config)  # embeddings.txt on disk
+        where = corrupt(tmp)
+        module = sys.modules["zslkit.train"]  # zslkit.train names the function
+        original, calls = module.train, []
+        monkeypatch.setattr(module, "train",
+                            lambda *args: calls.append(args) or original(*args))
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(config), "--grid", grid, *settings]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and where in err[0]
+        assert len(calls) == 0
+
 
 class TestBadSettings:
     @pytest.mark.parametrize("command,setting", [
@@ -492,7 +585,7 @@ class TestBadSettings:
         ("predict", "eval_split=bogus"), ("ablate", "eval_split=bogus"),
         ("train", "word_policy=bogus"), ("embed", "word_policy=bogus"),
         ("ablate", "word_policy=bogus"), ("embed", "sources=bogus"),
-        ("train", "sources=bogus")])
+        ("train", "sources=bogus"), ("train", "foo")])
     def test_single_error_line(self, experiment, capsys, monkeypatch,
                                command, setting):
         tmp, config = experiment
@@ -512,7 +605,7 @@ class TestBadSettings:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert repr(setting.split("=")[1]) in err[0]
+        assert repr(setting.split("=")[-1]) in err[0]
 
     def test_sources_refused_before_source_files_load(self, experiment, capsys):
         tmp, config = experiment
@@ -597,13 +690,24 @@ class TestValidateAgreement:
         case("embed", missing_word_vectors),
         case("embed", missing_word_vectors_and_bogus_source, "sources=word,bogus"),
         case("train", config_without_source_keys),
+        case("ablate", "'bogus'", EMBEDDINGS, "sources=bogus"),
+        case("ablate", "'bogus'", EMBEDDINGS, "word_policy=bogus"),
+        *(case("train", message, setting) for message, setting in (
+            ("init_scheme must be one of", "init_scheme=bogus"),
+            ("learning_rate must be positive", "learning_rate=0"),
+            ("beta1 and beta2 must lie in [0, 1)", "beta1=1"),
+            ("epsilon must be positive", "epsilon=0"))),
+        case("train", nan_feature_value, "l2_normalize=no"),
+        case("embed", tokenless_class_name, "sources=word"),
+        case("embed", repeated_assignment_line),
         *(case("train", corrupt) for corrupt in (
             corrupt_labels_encoding, negative_feature_dimension, nan_feature_value,
             huge_feature_dimension, huge_feature_row_count, normalized_flag_two,
-            form_feed_inside_a_row)),
+            form_feed_inside_a_row, repeated_seen_section, empty_seen_section,
+            label_without_feature_row, label_outside_every_split)),
         *(case("train", corrupt, EMBEDDINGS) for corrupt in (
             negative_embedding_dimension, huge_embedding_dimension,
-            huge_embedding_row_count, repeated_class_row)),
+            huge_embedding_row_count, repeated_class_row, short_block_spec)),
         *(case("eval", corrupt, EMBEDDINGS, CHECKPOINT) for corrupt in (
             checkpoint_meta_not_object, checkpoint_meta_bad_layout,
             checkpoint_meta_negative_shape, checkpoint_meta_infinite_dimension,

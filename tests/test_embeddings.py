@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from zslkit.embeddings import (
     SOURCE_ORDER,
     AttributeAssignment,
     AttributeSchema,
+    ClassEmbeddingSet,
     EmbeddingSources,
     TaxonomyTree,
     WordVectorTable,
@@ -291,6 +294,13 @@ class TestBuildClassEmbeddings:
         assert np.linalg.norm(taxo) == pytest.approx(1.0)
         assert np.linalg.norm(word) == pytest.approx(1.0)
 
+    def test_normalize_blocks_leaves_a_zero_row(self):
+        src = tiny_sources()
+        src.word_table = WordVectorTable(2, {"classa": (0.0, 0.0), "classb": (3.0, 4.0)})
+        emb = build_class_embeddings(("ClassA", "ClassB"), ("word",), src,
+                                     normalize_blocks=True)
+        assert emb.matrix.tolist() == [[0.0, 0.0], [0.6, 0.8]]
+
     def test_rejects_bad_sources(self):
         with pytest.raises(ValueError):
             build_class_embeddings(("ClassA",), (), tiny_sources())
@@ -307,6 +317,23 @@ class TestBuildClassEmbeddings:
         with pytest.raises(ZslError) as exc:
             build_class_embeddings(("ClassA",), sources, inputs)
         assert isinstance(exc.value, ConfigError)
+
+
+ONE_CLASS = ClassEmbeddingSet(("a",), np.zeros((1, 2)), (("word", 0, 2),))
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: WordVectorTable(2, {"oak": (1.0, 2.0, 3.0)}), SchemaMismatchError,
+     "vector for 'oak' has length (3,), expected (2,)"),
+    (lambda: ClassEmbeddingSet(("a", "b"), np.zeros((3, 2)), (("word", 0, 2),)),
+     IncompleteCoverageError, "embedding matrix rows must match class names"),
+    (lambda: ClassEmbeddingSet(("a",), np.zeros((1, 2)), (("word", 0, 3),)),
+     IncompleteCoverageError, "block layout lengths must sum to the embedding dimension"),
+    (lambda: ONE_CLASS.index("b"), IncompleteCoverageError, "class 'b' has no embedding")],
+    ids=["word-vector-length", "embedding-rows", "embedding-layout", "missing-class"])
+def test_malformed_tables_refused(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def reference_matrix(classes, sources, inputs, normalize_blocks):

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -7,6 +8,7 @@ from synthdata import block_signal_problem, linear_problem
 from zslkit.embeddings import ClassEmbeddingSet
 from zslkit.errors import (
     AlignmentError,
+    ConfigError,
     EmptyClassSetError,
     IncompleteCoverageError,
 )
@@ -202,6 +204,25 @@ def shuffled_problem(seed, sizes=(4, 2, 3)):
                                    rng.normal(size=(len(classes), 4)),
                                    (("word", 0, 4),))
     return dataset, embeddings, CompatModel(rng.normal(size=(6, 5)))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ClassSplits(("a",), (), ()).classes("bogus"), ConfigError,
+     "split must be one of ('seen', 'zsl_validation', 'zsl_test'), got 'bogus'"),
+    (lambda: SplitDataset(("i0", "i1"), np.zeros((1, 2)), ("a", "a"),
+                          ClassSplits(("a",), (), ())),
+     AlignmentError, "ids (2), feature rows (1) and labels (2) must align"),
+    (lambda: ablate_embeddings(*block_signal_problem(n_classes=6, n_seen=3, n_val=2,
+                                                     per_class=4), FAST, repeats=0),
+     ConfigError, "repeats must be >= 1, got 0"),
+    (lambda: ablate_linear_terms(*linear_problem(n_classes=6, m=3, d=4, per_class=4,
+                                                 n_seen=3, n_val=2)[:2], FAST, repeats=0),
+     ConfigError, "repeats must be >= 1, got 0")],
+    ids=["unknown-split", "misaligned-dataset", "embedding-grid-repeats",
+         "linear-grid-repeats"])
+def test_bad_arguments_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestClassCodes:

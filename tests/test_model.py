@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,27 @@ class TestPredict:
         model = CompatModel.zeros(2, 2)
         with pytest.raises(EmptyClassSetError):
             predict(model, np.zeros(2), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda model: CompatModel(np.zeros((1, 3))), "W_e must be at least 2x2, got shape (1, 3)"),
+    (lambda model: score_matrix(model, np.zeros((2, 3)), np.zeros(5)),
+     "class embeddings have length 5, expected 4"),
+    (lambda model: score_matrix(model, np.zeros((2, 3)), np.zeros((2, 5))),
+     "class embeddings have length 5, expected 4"),
+    (lambda model: score_matrix(model, np.zeros((2, 2)), np.zeros((1, 4))),
+     "Phi has shape (2, 2), expected (n, 3)"),
+    (lambda model: nll(model, np.zeros(3), [0], np.zeros((1, 4))),
+     "batch features have shape (3,), expected (n, 3)"),
+    (lambda model: gradient(model, np.zeros((2, 3)), [0], np.zeros((1, 4))),
+     "labels have shape (1,), expected (2,)"),
+    (lambda model: predict(model, np.zeros((1, 3)), np.zeros((1, 4))),
+     "phi has shape (1, 3), expected (3,)")],
+    ids=["below-2x2", "one-class-vector-width", "class-width", "score-rows",
+         "batch-rows", "batch-labels", "predict-phi"])
+def test_shape_mismatch_refused(call, message):
+    with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+        call(CompatModel.zeros(3, 4))
 
 
 class TestScoreMatrix:

@@ -53,6 +53,12 @@ class TestInitModel:
 
 
 class TestOversampleIndices:
+    @pytest.mark.parametrize("labels", [[], np.empty(0, dtype=np.int64)],
+                             ids=["list", "array"])
+    def test_empty_labels_refused(self, labels):
+        with pytest.raises(ValueError, match="^labels must be non-empty$"):
+            oversample_indices(labels)
+
     def test_balanced_left_alone(self):
         idx = oversample_indices(["A", "A", "A", "B", "B", "B"], seed=0)
         assert sorted(idx.tolist()) == [0, 1, 2, 3, 4, 5]
