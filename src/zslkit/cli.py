@@ -108,27 +108,50 @@ def _load_dataset(cfg: dict):
                            l2_normalize=cfg.get("l2_normalize", False))
 
 
-def _build_embeddings(cfg: dict):
+def _build_embeddings(cfg: dict, sourced=None):
+    """Every split's class embeddings, from `sourced` (the result of
+    `_embedding_sources`) or from the source files it loads."""
     _require(cfg, ("splits",), "embedding construction")
     splits = io.load_splits(cfg["splits"])
-    sources, inputs = _embedding_sources(cfg)
+    sources, inputs = sourced or _embedding_sources(cfg)
     return build_class_embeddings(splits.all_classes(), sources, inputs,
                                   normalize_blocks=cfg.get("normalize_blocks", False))
 
 
-def _load_embeddings(cfg: dict):
+def _load_embeddings(cfg: dict, sourced=None):
     if "embeddings" in cfg:
         return io.load_class_embeddings(cfg["embeddings"])
-    return _build_embeddings(cfg)
+    return _build_embeddings(cfg, sourced)
 
 
-def _checkpoint_model(cfg: dict, embeddings):
-    """The checkpoint's model, refused unless it was trained on embeddings
-    with the same block layout as the ones it is about to score."""
+def _checkpoint_mismatches(cfg: dict, checkpoint, d, embeddings) -> list[str]:
+    """Why the checkpoint must not score features of dimension `d` against
+    these embeddings; a check whose input is None is skipped."""
+    path, model = cfg["checkpoint"], checkpoint.model
+    out = []
+    if d is not None and d != model.d:
+        out.append(f"checkpoint {path} was trained on features of d={model.d} "
+                   f"but {cfg['features']} has d={d}")
+    if embeddings is None:
+        return out
+    if embeddings.m != model.m:
+        out.append(f"checkpoint {path} was trained on class embeddings of "
+                   f"m={model.m} but the class embeddings have m={embeddings.m}")
+    elif checkpoint.block_layout != embeddings.block_layout:
+        out.append(f"checkpoint {path} was trained on embedding layout "
+                   f"{io._fmt_layout(checkpoint.block_layout)!r} but the class "
+                   f"embeddings have layout {io._fmt_layout(embeddings.block_layout)!r}")
+    return out
+
+
+def _checkpoint_model(cfg: dict, d: int, embeddings):
+    """The checkpoint's model, refused unless it was trained on features of
+    dimension `d` and on embeddings with the same block layout as the ones
+    it is about to score."""
     checkpoint = io.load_checkpoint(cfg["checkpoint"])
-    mismatch = io.layout_mismatch(cfg["checkpoint"], checkpoint, embeddings)
-    if mismatch:
-        raise AlignmentError(mismatch)
+    mismatches = _checkpoint_mismatches(cfg, checkpoint, d, embeddings)
+    if mismatches:
+        raise AlignmentError(mismatches[0])
     return checkpoint.model
 
 
@@ -172,7 +195,7 @@ def cmd_eval(args) -> int:
     split = _setting(cfg, "eval_split")
     dataset = _load_dataset(cfg)
     embeddings = _load_embeddings(cfg)
-    model = _checkpoint_model(cfg, embeddings)
+    model = _checkpoint_model(cfg, dataset.d, embeddings)
     result = evaluate_zsl(model, dataset, embeddings, split)
     print(f"normalized_accuracy\t{io._fmt(result.normalized_accuracy)}")
     for cls, acc in result.per_class_accuracy.items():
@@ -199,7 +222,7 @@ def cmd_predict(args) -> int:
     features = io.load_features(cfg["features"],
                                 l2_normalize=cfg.get("l2_normalize", False))
     embeddings = _load_embeddings(cfg)
-    model = _checkpoint_model(cfg, embeddings)
+    model = _checkpoint_model(cfg, features.d, embeddings)
     if "splits" in cfg:
         splits = io.load_splits(cfg["splits"])
         candidates = splits.classes(split)
@@ -224,12 +247,14 @@ def cmd_ablate(args) -> int:
     eval_split = _setting(cfg, "eval_split")
     dataset = _load_dataset(cfg)
     config = _train_config(cfg)
-    # The linear grid's embeddings load before the embedding grid trains.
-    embeddings = _load_embeddings(cfg) if grid in ("linear", "all") else None
+    # Every input loads before the first model trains, each source file once.
+    sourced = (_embedding_sources(cfg)
+               if grid != "linear" or "embeddings" not in cfg else None)
+    embeddings = _load_embeddings(cfg, sourced) if grid != "embeddings" else None
     std_col = "\tstd" if repeats > 1 else ""
 
     if grid in ("embeddings", "all"):
-        sources, inputs = _embedding_sources(cfg)
+        sources, inputs = sourced
         rows = ablate_embeddings(dataset, inputs, config,
                                  sources=sources, eval_split=eval_split, repeats=repeats,
                                  normalize_blocks=cfg.get("normalize_blocks", False))
@@ -299,6 +324,7 @@ def validate_experiment(cfg: dict) -> ValidationReport:
         if labels is not None:
             stray = sorted({c for c in labels.values() if c not in split_classes})
             violations.extend(f"label class {cls!r} is not in any split" for cls in stray)
+            violations.extend(splits.instance_violations(labels.values()))
         if embeddings is not None:
             violations.extend(f"class {cls!r} in split {name!r} has no embedding"
                               for name in SPLIT_NAMES for cls in splits.classes(name)
@@ -308,16 +334,8 @@ def validate_experiment(cfg: dict) -> ValidationReport:
         violations.extend(f"feature id {i!r} has no label" for i in missing)
         violations.extend(f"label id {i!r} has no feature row" for i in extra)
     if checkpoint is not None:
-        if features is not None and features.d != checkpoint.model.d:
-            violations.append(
-                f"feature dimension d={features.d} != checkpoint d={checkpoint.model.d}")
-        if embeddings is not None and embeddings.m != checkpoint.model.m:
-            violations.append(
-                f"embedding dimension m={embeddings.m} != checkpoint m={checkpoint.model.m}")
-        elif embeddings is not None:
-            mismatch = io.layout_mismatch(cfg["checkpoint"], checkpoint, embeddings)
-            if mismatch:
-                violations.append(mismatch)
+        violations.extend(_checkpoint_mismatches(
+            cfg, checkpoint, None if features is None else features.d, embeddings))
     return ValidationReport(violations)
 
 

@@ -76,6 +76,15 @@ class ClassSplits:
                     out.append(f"class {cls!r} appears in both {a!r} and {b!r}")
         return out
 
+    def instance_violations(self, labels) -> list[str]:
+        """Why training cannot run on instances with these labels: it fits on
+        the seen split's rows and stops early on the validation split's."""
+        present = set(labels)
+        return [message for split, message in (
+                    ("zsl_validation", "split 'zsl_validation' has no instances"),
+                    ("seen", "seen split has no training instances"))
+                if present.isdisjoint(self.classes(split))]
+
     def require_disjoint(self) -> None:
         violations = self.overlap_violations()
         if violations:

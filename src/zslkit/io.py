@@ -498,17 +498,6 @@ def save_checkpoint(path, model: CompatModel, classes, block_layout) -> None:
     Path(path).write_bytes(blob)
 
 
-def layout_mismatch(checkpoint_path, checkpoint: Checkpoint,
-                    embeddings: ClassEmbeddingSet) -> str | None:
-    """Why the checkpoint must not score these embeddings, or None when it
-    was trained on the same embedding block layout."""
-    if checkpoint.block_layout == embeddings.block_layout:
-        return None
-    return (f"checkpoint {checkpoint_path} was trained on embedding layout "
-            f"{_fmt_layout(checkpoint.block_layout)!r} but the class "
-            f"embeddings have layout {_fmt_layout(embeddings.block_layout)!r}")
-
-
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         if f.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:

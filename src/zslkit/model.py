@@ -105,13 +105,19 @@ def score(model: CompatModel, phi: np.ndarray, psi: np.ndarray) -> float:
 
 
 def score_matrix(model: CompatModel, Phi: np.ndarray, classes) -> np.ndarray:
-    """(B, K) score matrix for a stack of image embeddings."""
+    """(B, K) score matrix for a stack of image embeddings.
+
+    Like the training kernel, it forms the (d+1, K) class factor
+    P = W_e @ Psi_e.T first. The rows' constant 1 selects P's last row, so
+    the plain rows score as Phi @ P[:d] + P[d], with no extended copy."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[1] != model.d:
         raise ShapeMismatchError(
             f"Phi has shape {Phi.shape}, expected (n, {model.d})")
-    Psi = _class_matrix(classes, model.m)
-    return extend_embedding(Phi) @ model.W_e @ extend_embedding(Psi).T
+    P = model.W_e @ extend_embedding(_class_matrix(classes, model.m)).T
+    S = Phi @ P[:-1]
+    S += P[-1]
+    return S
 
 
 def _check_batch(model, Phi, labels, classes):

@@ -142,8 +142,9 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     prediction restricted to the validation classes; the returned model is the
     snapshot at the earliest iteration attaining the best accuracy.
     """
-    if len(dataset.subset("zsl_validation")[1]) == 0:
-        raise SplitViolationError("split 'zsl_validation' has no instances")
+    empty = dataset.splits.instance_violations(dataset.labels)
+    if empty:
+        raise SplitViolationError(empty[0])
 
     train_classes = dataset.splits.seen
     missing = [c for c in train_classes + dataset.splits.zsl_validation
@@ -153,8 +154,6 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
             f"no embedding for class(es) {missing}")
 
     X, label_idx = dataset.subset("seen")
-    if len(label_idx) == 0:
-        raise SplitViolationError("seen split has no training instances")
 
     d = dataset.d
     m = embeddings.m

@@ -238,6 +238,21 @@ class TestAblateCommand:
         assert len(grid_rows(out, "# embedding-subset grid")) == 7
         assert len(grid_rows(out, "# linear-term grid")) == 4
 
+    def test_all_loads_each_source_file_once(self, experiment, capsys, monkeypatch):
+        _, config = experiment
+        keys = ("attribute_schema", "attribute_assignments", "taxonomy", "leaf_map",
+                "word_vectors")
+        calls = []
+
+        def counted(key, load):
+            return lambda path: calls.append(key) or load(path)
+
+        for key in keys:
+            monkeypatch.setattr(io, f"load_{key}", counted(key, getattr(io, f"load_{key}")))
+        assert main(["ablate", "--config", str(config), "--grid", "all",
+                     "--set", "max_iterations=100"]) == 0
+        assert sorted(calls) == sorted(keys)
+
 
 class TestUsageErrors:
     def test_missing_subcommand_exits_two(self, capsys):
@@ -483,7 +498,30 @@ def checkpoint_of_other_d(tmp):
     checkpoint = io.load_checkpoint(tmp / "model.ckpt")
     io.save_checkpoint(tmp / "model.ckpt", CompatModel.zeros(3, checkpoint.model.m),
                        checkpoint.classes, checkpoint.block_layout)
-    return "expected (n, 3)"
+    return (f"checkpoint {tmp / 'model.ckpt'} was trained on features of d=3 "
+            f"but {tmp / 'features.txt'} has d={checkpoint.model.d}")
+
+
+def drop_split_rows(tmp, split):
+    """Remove the feature rows and labels of every instance of the split."""
+    classes = set(io.load_splits(tmp / "splits.txt").classes(split))
+    labels = io.load_labels(tmp / "labels.tsv")
+    features = io.load_features(tmp / "features.txt")
+    keep = [k for k, i in enumerate(features.ids) if labels[i] not in classes]
+    ids = tuple(features.ids[k] for k in keep)
+    io.save_features(tmp / "features.txt",
+                     io.FeatureSet(ids, features.matrix[keep], True))
+    io.save_labels(tmp / "labels.tsv", {i: labels[i] for i in ids})
+
+
+def seen_rows_removed(tmp):
+    drop_split_rows(tmp, "seen")
+    return "seen split has no training instances"
+
+
+def validation_rows_removed(tmp):
+    drop_split_rows(tmp, "zsl_validation")
+    return "split 'zsl_validation' has no instances"
 
 
 def zero_unnormalized_feature_row(tmp):
@@ -545,16 +583,8 @@ class TestMalformedInputs:
         assert captured.err.splitlines() == ["error: repeats must be >= 1, got 0"]
 
     def test_train_refuses_seen_classes_without_instances(self, experiment, capsys):
-        # `validate` does not count instances, so this is no TestValidateAgreement row
         tmp, config = experiment
-        seen = set(io.load_splits(tmp / "splits.txt").seen)
-        labels = io.load_labels(tmp / "labels.tsv")
-        features = io.load_features(tmp / "features.txt")
-        keep = [k for k, i in enumerate(features.ids) if labels[i] not in seen]
-        ids = tuple(features.ids[k] for k in keep)
-        io.save_features(tmp / "features.txt",
-                         io.FeatureSet(ids, features.matrix[keep], True))
-        io.save_labels(tmp / "labels.tsv", {i: labels[i] for i in ids})
+        seen_rows_removed(tmp)
         assert main(["train", "--config", str(config)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: seen split has no training instances"]
@@ -704,14 +734,17 @@ class TestValidateAgreement:
             corrupt_labels_encoding, negative_feature_dimension, nan_feature_value,
             huge_feature_dimension, huge_feature_row_count, normalized_flag_two,
             form_feed_inside_a_row, repeated_seen_section, empty_seen_section,
-            label_without_feature_row, label_outside_every_split)),
+            label_without_feature_row, label_outside_every_split,
+            seen_rows_removed, validation_rows_removed)),
         *(case("train", corrupt, EMBEDDINGS) for corrupt in (
             negative_embedding_dimension, huge_embedding_dimension,
             huge_embedding_row_count, repeated_class_row, short_block_spec)),
         *(case("eval", corrupt, EMBEDDINGS, CHECKPOINT) for corrupt in (
             checkpoint_meta_not_object, checkpoint_meta_bad_layout,
             checkpoint_meta_negative_shape, checkpoint_meta_infinite_dimension,
-            nan_checkpoint_entry)),
+            nan_checkpoint_entry, checkpoint_of_other_d)),
+        case("predict", checkpoint_of_other_d, EMBEDDINGS, CHECKPOINT),
+        case("eval", negative_embedding_dimension, EMBEDDINGS, CHECKPOINT),
     ])
     def test_validate_fails_where_command_fails(self, experiment, capsys,
                                                 command, corrupt, settings):

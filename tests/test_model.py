@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,3 +286,18 @@ class TestScoreMatrix:
             for k in range(len(Psi)):
                 assert S[i, k] == pytest.approx(score(model, Phi[i], Psi[k]),
                                                 abs=1e-12)
+
+    def test_holds_no_extended_copy_of_the_rows(self):
+        # At eval-large's shape, an extended copy of Phi alone is Phi.nbytes;
+        # the class factor and the scores are a few kB each.
+        rng = np.random.default_rng(14)
+        n, d, m, K = 800, 512, 541, 8
+        model = CompatModel(rng.normal(size=(d + 1, m + 1)))
+        Phi, Psi = rng.normal(size=(n, d)), rng.normal(size=(K, m))
+        tracemalloc.start()
+        try:
+            score_matrix(model, Phi, Psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < Phi.nbytes // 4
