@@ -108,20 +108,21 @@ def _load_dataset(cfg: dict):
                            l2_normalize=cfg.get("l2_normalize", False))
 
 
-def _build_embeddings(cfg: dict, sourced=None):
-    """Every split's class embeddings, from `sourced` (the result of
-    `_embedding_sources`) or from the source files it loads."""
-    _require(cfg, ("splits",), "embedding construction")
-    splits = io.load_splits(cfg["splits"])
+def _build_embeddings(cfg: dict, splits=None, sourced=None):
+    """Every split's class embeddings, for `splits` or the splits file, from
+    `sourced` (the result of `_embedding_sources`) or the source files it loads."""
+    if splits is None:
+        _require(cfg, ("splits",), "embedding construction")
+        splits = io.load_splits(cfg["splits"])
     sources, inputs = sourced or _embedding_sources(cfg)
     return build_class_embeddings(splits.all_classes(), sources, inputs,
                                   normalize_blocks=cfg.get("normalize_blocks", False))
 
 
-def _load_embeddings(cfg: dict, sourced=None):
+def _load_embeddings(cfg: dict, splits=None, sourced=None):
     if "embeddings" in cfg:
         return io.load_class_embeddings(cfg["embeddings"])
-    return _build_embeddings(cfg, sourced)
+    return _build_embeddings(cfg, splits, sourced)
 
 
 def _checkpoint_mismatches(cfg: dict, checkpoint, d, embeddings) -> list[str]:
@@ -169,7 +170,7 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     _require(cfg, ("checkpoint_out",), "train")
     dataset = _load_dataset(cfg)
-    embeddings = _load_embeddings(cfg)
+    embeddings = _load_embeddings(cfg, dataset.splits)
     report = train(dataset, embeddings, _train_config(cfg))
     io.save_checkpoint(cfg["checkpoint_out"], report.model,
                        dataset.splits.seen, embeddings.block_layout)
@@ -194,7 +195,7 @@ def cmd_eval(args) -> int:
     _require(cfg, ("checkpoint",), "eval")
     split = _setting(cfg, "eval_split")
     dataset = _load_dataset(cfg)
-    embeddings = _load_embeddings(cfg)
+    embeddings = _load_embeddings(cfg, dataset.splits)
     model = _checkpoint_model(cfg, dataset.d, embeddings)
     result = evaluate_zsl(model, dataset, embeddings, split)
     print(f"normalized_accuracy\t{io._fmt(result.normalized_accuracy)}")
@@ -221,13 +222,10 @@ def cmd_predict(args) -> int:
     split = _setting(cfg, "eval_split")
     features = io.load_features(cfg["features"],
                                 l2_normalize=cfg.get("l2_normalize", False))
-    embeddings = _load_embeddings(cfg)
+    splits = io.load_splits(cfg["splits"]) if "splits" in cfg else None
+    embeddings = _load_embeddings(cfg, splits)
     model = _checkpoint_model(cfg, features.d, embeddings)
-    if "splits" in cfg:
-        splits = io.load_splits(cfg["splits"])
-        candidates = splits.classes(split)
-    else:
-        candidates = embeddings.class_names
+    candidates = splits.classes(split) if splits is not None else embeddings.class_names
     S = score_matrix(model, features.matrix,
                      embeddings.select(candidates))
     lines = [f"{i}\t{candidates[k]}"
@@ -250,7 +248,8 @@ def cmd_ablate(args) -> int:
     # Every input loads before the first model trains, each source file once.
     sourced = (_embedding_sources(cfg)
                if grid != "linear" or "embeddings" not in cfg else None)
-    embeddings = _load_embeddings(cfg, sourced) if grid != "embeddings" else None
+    embeddings = (_load_embeddings(cfg, dataset.splits, sourced)
+                  if grid != "embeddings" else None)
     std_col = "\tstd" if repeats > 1 else ""
 
     if grid in ("embeddings", "all"):
@@ -311,7 +310,7 @@ def validate_experiment(cfg: dict) -> ValidationReport:
     labels = load_file("labels", io.load_labels)
     splits = load_file("splits", io.load_splits)
     settings = attempt("settings", lambda: _source_settings(cfg))
-    embeddings = (attempt("embeddings", lambda: _load_embeddings(cfg))
+    embeddings = (attempt("embeddings", lambda: _load_embeddings(cfg, splits))
                   if "embeddings" in cfg or (splits and settings) else None)
     checkpoint = load_file("checkpoint", io.load_checkpoint)
     attempt("training settings", lambda: _train_config(cfg))

@@ -4,7 +4,8 @@ All data files are line-oriented UTF-8 text with explicit headers so they
 diff cleanly; only model checkpoints use a compact binary layout. Only the
 newline character ends a line, and a carriage return before it is stripped;
 other line-break characters are whitespace within a line. Text files are read
-one line at a time, and a load reports the first fault in reading order. Formats:
+one line at a time, and a load reports the first fault in reading order. A large
+numeric body is converted in parts, one per CPU, with the same result. Formats:
 
   features     header `d=<int> n=<int> normalized=<0|1>`, then `id v1 ... vd`
   labels       `id<TAB>class_label`
@@ -27,6 +28,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
+import pickle
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +57,9 @@ from .model import CompatModel
 from .train import TrainConfig
 
 _CHECKPOINT_MAGIC = b"ZSLCKPT1\n"
+# The smallest part worth a forked child, which costs about 15 ms of CPU: cut
+# in two, a 3.2 MB file gained no wall time, a 3.8 MB one 22 ms (2 vCPUs).
+_MIN_PART_BYTES = 2 << 20
 
 
 def _fmt(x) -> str:
@@ -63,19 +70,27 @@ def _fmt_layout(layout) -> str:
     return ";".join(f"{tag}:{off}:{ln}" for tag, off, ln in layout)
 
 
-def _text_lines(path):
+def _text_lines(path, start: int = 0, stop: float = float("inf")):
     """Yield (1-based line number, stripped line) for each non-blank line of
     a UTF-8 text file, read one line at a time: a load holds one line, not the
     file. Lines end at b"\\n", which no multibyte UTF-8 sequence contains. A
-    byte that is not UTF-8 raises ParseError when its line is reached."""
+    byte that is not UTF-8 raises ParseError when its line is reached. Reads
+    bytes [start, stop), whose ends are line starts, and returns the count of
+    lines read; line numbers count from `start`."""
+    no = 0
     with open(path, "rb") as f:
+        f.seek(start)
         for no, raw in enumerate(f, start=1):
+            start += len(raw)
+            if start > stop:
+                return no - 1
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
                 raise ParseError(path, no, "not valid UTF-8 text") from None
             if line:
                 yield no, line
+    return no
 
 
 def _write_lines(path, lines) -> None:
@@ -129,7 +144,7 @@ def _header(path, line, usage: str) -> dict[str, int]:
     return out
 
 
-def _convert_body(lines, width: int | None, sep: str | None):
+def _convert_lines(lines, width: int | None, sep: str | None):
     """numpy's C text reader over the rows' value texts, fed one line at a
     time: (line_of, matrix) when it converts every line left in `lines` to a
     row of the expected width, else None. Its float conversion gives the bits
@@ -161,6 +176,81 @@ def _convert_body(lines, width: int | None, sep: str | None):
     if matrix.shape != (len(line_of), width or matrix.shape[1]):
         return None
     return line_of, matrix
+
+
+def _convert_part(path, start: int, stop: int, skip: int, width: int | None, sep):
+    """_convert_lines over the lines in bytes [start, stop) after the first
+    `skip`, numbered from `start`: (line_of, matrix, lines in the range)."""
+    counted = []
+
+    def lines():
+        counted.append((yield from _text_lines(path, start, stop)))
+
+    converted = _convert_lines(itertools.islice(lines(), skip, None), width, sep)
+    return converted and (*converted, counted[0])
+
+
+def _send_part(r: int, w: int, cpu: int, path, start: int, stop: int, width, sep):
+    """A forked child: convert bytes [start, stop) on `cpu`, send the shape,
+    line count and labels, then the rows, or nothing if refused, and exit."""
+    try:
+        os.close(r)
+        os.sched_setaffinity(0, {cpu})
+        converted = _convert_part(path, start, stop, 0, width, sep)
+        with open(w, "wb") as out:
+            if converted:
+                line_of, matrix, lines = converted
+                pickle.dump((matrix.shape, lines, line_of), out)
+                out.write(matrix)
+    finally:
+        os._exit(0)
+
+
+def _convert_body(path, lines, skip: int, width: int | None, sep: str | None):
+    """The fast path of _read_rows: _convert_lines over `lines`, the lines
+    after the first `skip`, or, where fork works and no other thread runs,
+    over the file cut at line starts into a part per allowed CPU and
+    _MIN_PART_BYTES: the first part here, each other one in a child pinned to
+    its CPU. None if a part is refused or parts share a label or differ in width."""
+    size, children = os.path.getsize(path), []
+    cpus = (sorted(os.sched_getaffinity(0))[:size // _MIN_PART_BYTES]
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 else [])
+    if len(cpus) < 2:
+        return _convert_lines(lines, width, sep)
+    lines.close()
+    with open(path, "rb") as f:  # part k starts at the first line at or after k/len(cpus)
+        starts = [0, *(f.seek(k * size // len(cpus) - 1) + len(f.readline())
+                       for k in range(1, len(cpus))), size]
+    try:
+        for k in range(1, len(cpus)):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _send_part(r, w, cpus[k], path, starts[k], starts[k + 1], width, sep)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        if not (converted := _convert_part(path, 0, starts[1], skip, width, sep)):
+            return None
+        line_of, matrix, offset = converted
+        for _, part in children:
+            try:
+                (n, cols), count, part_of = pickle.load(part)
+            except (EOFError, pickle.UnpicklingError):  # the child sent nothing
+                return None
+            if n and cols != matrix.shape[1] or not line_of.keys().isdisjoint(part_of):
+                return None
+            rows = len(matrix)  # grown in place: never a second full-size matrix
+            matrix.resize((rows + n, matrix.shape[1]), refcheck=False)
+            if part.readinto(matrix[rows:]) < matrix[rows:].nbytes:
+                return None
+            line_of.update((label, no + offset) for label, no in part_of.items())
+            offset += count
+        return line_of, matrix
+    finally:
+        for pid, part in children:
+            part.close()
+            os.kill(pid, 9)  # SIGKILL; importing signal would add 0.1-0.2 MB of RSS
+            os.waitpid(pid, 0)
 
 
 def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | None):
@@ -203,7 +293,7 @@ def _read_rows(path, lines, skip: int, width: int | None, kind: str,
     other body is read again by the row loop, which names the first bad line.
     Labels must be unique and values finite; then the (line, n) of a header,
     if `declared`, must count the rows."""
-    line_of, matrix = (_convert_body(lines, width, sep)
+    line_of, matrix = (_convert_body(path, lines, skip, width, sep)
                        or _read_rows_loop(path, skip, width, kind, sep))
     row_lines = list(line_of.values())
     finite_rows = np.isfinite(matrix).all(axis=1)

@@ -127,6 +127,23 @@ class TestEmbedTrainEvalFlow:
         assert main(["train", "--config", str(config)]) == 0
         assert (tmp / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--grid", "linear"],
+                                         ["validate"], ["eval"], ["predict"]],
+                             ids=lambda c: c[0])
+    def test_splits_load_once(self, experiment, monkeypatch, capsys, command):
+        """The class embeddings are built for the splits the command loaded."""
+        tmp, config = experiment
+        if command[0] in ("eval", "predict"):
+            assert main(["train", "--config", str(config)]) == 0
+            command = [*command, "--set", f"checkpoint={tmp / 'model.ckpt'}"]
+        calls = []
+        load_splits = io.load_splits
+        monkeypatch.setattr(io, "load_splits",
+                            lambda path: calls.append(path) or load_splits(path))
+        assert main([*command, "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_train_rejects_overlapping_splits(self, experiment, capsys):
         tmp, config = experiment
         splits = io.load_splits(tmp / "splits.txt")

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import os
 import pickle
 import tracemalloc
 from pathlib import Path
@@ -518,6 +520,19 @@ class TestLoadMemory:
         features, peak = traced_peak(io.load_features, path)
         assert peak <= features.matrix.nbytes + path.stat().st_size // 5
 
+    def test_features_in_parts(self, tmp_path, monkeypatch):
+        """Cut in two, the load still holds one matrix: the first part's rows
+        grow in place and the second part's are read into them."""
+        monkeypatch.setattr(io, "_read_rows_loop", refuse_row_loop)
+        rng = np.random.default_rng(5)
+        path = tmp_path / "f.txt"
+        io.save_features(path, io.FeatureSet(tuple(f"i{k}" for k in range(800)),
+                                             rng.normal(size=(800, 300)), False))
+        with forced_parts(2) as forks:
+            features, peak = traced_peak(io.load_features, path)
+        assert len(forks) == 1
+        assert peak <= features.matrix.nbytes + path.stat().st_size // 5
+
     def test_normalized_features(self, tmp_path):
         rows = np.random.default_rng(5).normal(size=(800, 300))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -632,3 +647,176 @@ class TestRowReaders:
         assert io.load_word_vectors(tmp_path / "w.txt").vectors["fir"].tolist() == [
             -0.5, 0.25, 0.125]
         assert io.load_class_embeddings(tmp_path / "e.txt").class_names == ("Green Ash",)
+
+
+def refuse_row_loop(*args):
+    raise AssertionError("the row loop ran on a clean body")
+
+
+@contextlib.contextmanager
+def forced_parts(parts):
+    """Every row load in the block cuts its file into `parts` parts, whatever
+    the file size and the CPUs this process may use; children are not pinned.
+    Yields the list of the pids of the children forked."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        forks.append(fork())
+        return forks[-1]
+
+    with mock.patch.object(io, "_MIN_PART_BYTES", 1), \
+            mock.patch.object(os, "fork", spy), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(parts))), \
+            mock.patch.object(os, "sched_setaffinity", lambda pid, cpus: None):
+        yield forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Four rows of one long value each: cut in two, the first two rows (and the
+# header) fall in the first part and the last two in the second.
+LONG = "0.1234567890123456"
+
+
+def rows_of(*labels, values=(LONG,)):
+    return [(label, [(" ", value) for value in values]) for label in labels]
+
+
+class TestPartedConversion:
+    """A body cut into parts converted at once, the later ones in forked
+    children, gives what the serial conversion gives: the same labels,
+    matrix bytes and row line numbers, or the same error."""
+
+    @pytest.mark.parametrize("loader, sep, header", ROW_FORMATS,
+                             ids=["features", "word_vectors", "class_embeddings"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(body=BODY, width_shift=st.sampled_from([0, 0, 0, 1, -1]),
+           crlf=st.booleans(), parts=st.sampled_from([2, 3, 4]))
+    # a bad row in the first part and in a later one
+    @example(body=[("a", [(" ", "x")])] + rows_of("b", "c", "d"),
+             width_shift=0, crlf=False, parts=2)
+    @example(body=rows_of("a", "b", "c") + [("d", [(" ", "x")])],
+             width_shift=0, crlf=False, parts=2)
+    # a byte that is not UTF-8 in a later part
+    @example(body=rows_of("a", "b", "c", "\udcff"), width_shift=0, crlf=False, parts=2)
+    # a label in two parts
+    @example(body=rows_of("a", "b", "c", "a"), width_shift=0, crlf=False, parts=2)
+    # one value a row, then two: word vectors cut where the width changes
+    @example(body=rows_of("a", "b") + rows_of("c", values=(LONG, LONG)),
+             width_shift=0, crlf=False, parts=2)
+    # blank lines and carriage returns where the parts meet
+    @example(body=rows_of("a", "b") + ["", " \r"] + rows_of("c", "d"),
+             width_shift=0, crlf=True, parts=3)
+    # a row longer than a part leaves parts with no rows
+    @example(body=rows_of("a", "b", values=(LONG, LONG, LONG)),
+             width_shift=0, crlf=False, parts=4)
+    def test_same_as_serial(self, loader, sep, header, body, width_shift, crlf, parts,
+                            fuzz_dir):
+        rows = [row if isinstance(row, str)
+                else row[0] + sep + "".join(space + value for space, value in row[1])
+                for row in body]
+        n = sum(not isinstance(row, str) for row in body)
+        width = width_shift + next((len(row[1]) for row in body
+                                    if not isinstance(row, str)), 1)
+        path = fuzz_dir / "parts.txt"
+        path.write_text(header(n, width) + ("\r\n" if crlf else "\n").join(rows) + "\n",
+                        encoding="utf-8", errors="surrogateescape")
+        expected = loaded_rows(loader, path)
+        with forced_parts(parts):
+            assert loaded_rows(loader, path) == expected
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_clean_body_skips_the_row_loop(self, tmp_path, monkeypatch, parts):
+        monkeypatch.setattr(io, "_read_rows_loop", refuse_row_loop)
+        path = tmp_path / "w.txt"
+        table = WordVectorTable(3, {f"t{k}": np.arange(3.0) * k for k in range(40)})
+        io.save_word_vectors(path, table)
+        with forced_parts(parts) as forks:
+            loaded = io.load_word_vectors(path)
+        assert len(forks) == parts - 1
+        assert list(loaded.vectors) == list(table.vectors)
+        assert np.array_equal(np.array(list(loaded.vectors.values())),
+                              np.array(list(table.vectors.values())))
+
+    @pytest.mark.parametrize("last_value, interrupt, raises", [
+        (LONG, False, None), ("x", False, ParseError), (LONG, True, KeyboardInterrupt),
+    ], ids=["loaded", "refused", "interrupted"])
+    def test_no_child_left(self, tmp_path, monkeypatch, last_value, interrupt, raises):
+        """Every child is killed and reaped, whether the load returns, is
+        refused or is interrupted while the parent converts its own part."""
+        convert_part = io._convert_part
+
+        def parent_part_interrupted(path, start, *args):
+            if start == 0:
+                raise KeyboardInterrupt
+            return convert_part(path, start, *args)
+
+        if interrupt:
+            monkeypatch.setattr(io, "_convert_part", parent_part_interrupted)
+        path = tmp_path / "w.txt"
+        path.write_text(f"a {LONG}\nb {LONG}\nc {LONG}\nd {last_value}\n")
+        with forced_parts(2), (pytest.raises(raises) if raises
+                               else contextlib.nullcontext()):
+            io.load_word_vectors(path)
+        no_child_left()
+
+    def test_child_dying_mid_rows_falls_back(self, tmp_path, monkeypatch):
+        """A child that sends its labels but not all its rows leaves a short
+        read, and the row loop reads the file again."""
+        convert_part = io._convert_part
+
+        def part(path, start, *args):
+            line_of, matrix, lines = convert_part(path, start, *args)
+            return line_of, matrix if start == 0 else np.asfortranarray(matrix), lines
+
+        monkeypatch.setattr(io, "_convert_part", part)
+        row_loops = []
+        read_rows_loop = io._read_rows_loop
+        monkeypatch.setattr(io, "_read_rows_loop",
+                            lambda *args: row_loops.append(args) or read_rows_loop(*args))
+        path = tmp_path / "w.txt"
+        table = WordVectorTable(2, {f"t{k}": np.array([k, -k / 3]) for k in range(8)})
+        io.save_word_vectors(path, table)
+        with forced_parts(2):
+            loaded = io.load_word_vectors(path)
+        assert len(row_loops) == 1
+        assert pickle.dumps(loaded) == pickle.dumps(table)
+        no_child_left()
+
+    def test_child_side_in_process(self, tmp_path):
+        """What a forked child runs, run in this process: it pins itself to
+        its CPU and writes its shape, line count, labels numbered from its
+        part's first line and rows, then exits with status 0."""
+        class Exited(Exception):
+            pass
+
+        def exit_(status):
+            raise Exited(status)
+
+        kept, pinned = [], []
+        pipe = os.pipe
+
+        def kept_pipe():
+            r, w = pipe()
+            kept.append(os.dup(r))  # the child closes its read end
+            return r, w
+
+        path = tmp_path / "w.txt"
+        path.write_text("t0 1.5 2.5\nt1 3.5 4.5\n\nt2 5.5 6.5\nt3 7.5 8.5\n")
+        with forced_parts(2), mock.patch.object(os, "pipe", kept_pipe), \
+                mock.patch.object(os, "fork", lambda: 0), \
+                mock.patch.object(os, "_exit", exit_), \
+                mock.patch.object(os, "sched_setaffinity",
+                                  lambda pid, cpus: pinned.append((pid, cpus))):
+            with pytest.raises(Exited) as exc:
+                io.load_word_vectors(path)
+        assert exc.value.args == (0,) and pinned == [(0, {1})]
+        with open(kept[0], "rb") as sent:
+            shape, lines, line_of = pickle.load(sent)
+            rows = sent.read()
+        assert (shape, lines, line_of) == ((2, 2), 3, {"t2": 2, "t3": 3})
+        assert rows == np.array([[5.5, 6.5], [7.5, 8.5]]).tobytes()
