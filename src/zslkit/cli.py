@@ -102,10 +102,12 @@ def _embedding_sources(cfg: dict) -> tuple[tuple[str, ...], EmbeddingSources]:
     return sources, inputs
 
 
-def _load_dataset(cfg: dict):
+def _load_dataset(cfg: dict, keep_splits):
+    """The dataset with the rows of the splits `keep_splits` names."""
     _require(cfg, ("features", "labels", "splits"), "this command")
     return io.load_dataset(cfg["features"], cfg["labels"], cfg["splits"],
-                           l2_normalize=cfg.get("l2_normalize", False))
+                           l2_normalize=cfg.get("l2_normalize", False),
+                           keep_splits=keep_splits)
 
 
 def _build_embeddings(cfg: dict, splits=None, sourced=None):
@@ -169,7 +171,7 @@ def cmd_embed(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     _require(cfg, ("checkpoint_out",), "train")
-    dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg, ("seen", "zsl_validation"))
     embeddings = _load_embeddings(cfg, dataset.splits)
     report = train(dataset, embeddings, _train_config(cfg))
     io.save_checkpoint(cfg["checkpoint_out"], report.model,
@@ -194,7 +196,7 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     _require(cfg, ("checkpoint",), "eval")
     split = _setting(cfg, "eval_split")
-    dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg, (split,))
     embeddings = _load_embeddings(cfg, dataset.splits)
     model = _checkpoint_model(cfg, dataset.d, embeddings)
     result = evaluate_zsl(model, dataset, embeddings, split)
@@ -243,7 +245,7 @@ def cmd_ablate(args) -> int:
     grid = _setting(cfg, "grid", args.grid)
     repeats = _setting(cfg, "repeats")
     eval_split = _setting(cfg, "eval_split")
-    dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg, ("seen", "zsl_validation", eval_split))
     config = _train_config(cfg)
     # Every input loads before the first model trains, each source file once.
     sourced = (_embedding_sources(cfg)
@@ -306,7 +308,7 @@ def validate_experiment(cfg: dict) -> ValidationReport:
         return attempt(key, lambda: loader(cfg[key], **options))
 
     features = load_file("features", io.load_features,
-                         l2_normalize=cfg.get("l2_normalize", False))
+                         l2_normalize=cfg.get("l2_normalize", False), keep=())
     labels = load_file("labels", io.load_labels)
     splits = load_file("splits", io.load_splits)
     settings = attempt("settings", lambda: _source_settings(cfg))
@@ -329,7 +331,7 @@ def validate_experiment(cfg: dict) -> ValidationReport:
                               for name in SPLIT_NAMES for cls in splits.classes(name)
                               if cls not in embeddings)
     if features is not None and labels is not None:
-        missing, extra = io._id_join(features.ids, labels)
+        missing, extra = io._id_join(features.file_ids, labels)
         violations.extend(f"feature id {i!r} has no label" for i in missing)
         violations.extend(f"label id {i!r} has no feature row" for i in extra)
     if checkpoint is not None:

@@ -124,12 +124,14 @@ class SplitDataset:
 
     def subset(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         """The split's feature rows in dataset order, and their indices into
-        `splits.classes(split)`."""
+        `splits.classes(split)`. The rows are `features` itself, not a copy,
+        when every row is in the split."""
         n = len(self.splits.classes(split))
         start = sum(len(self.splits.classes(s))
                     for s in SPLIT_NAMES[:SPLIT_NAMES.index(split)])
         keep = (self.codes >= start) & (self.codes < start + n)
-        return self.features[keep], self.codes[keep] - start
+        rows = self.features if keep.all() else self.features[keep]
+        return rows, self.codes[keep] - start
 
 
 @dataclass

@@ -4,8 +4,10 @@ All data files are line-oriented UTF-8 text with explicit headers so they
 diff cleanly; only model checkpoints use a compact binary layout. Only the
 newline character ends a line, and a carriage return before it is stripped;
 other line-break characters are whitespace within a line. Text files are read
-one line at a time, and a load reports the first fault in reading order. A large
-numeric body is converted in parts, one per CPU, with the same result. Formats:
+one line at a time, and a load reports the first fault in reading order. A
+numeric body is converted and checked 256 lines at a time, and a load may keep
+only the rows of some labels, though it reads and checks every row; a large
+body is converted in parts, one per CPU, with the same result. Formats:
 
   features     header `d=<int> n=<int> normalized=<0|1>`, then `id v1 ... vd`
   labels       `id<TAB>class_label`
@@ -31,10 +33,9 @@ import json
 import os
 import pickle
 import threading
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Container, Mapping
 
 import numpy as np
 
@@ -60,6 +61,8 @@ _CHECKPOINT_MAGIC = b"ZSLCKPT1\n"
 # The smallest part worth a forked child, which costs about 15 ms of CPU: cut
 # in two, a 3.2 MB file gained no wall time, a 3.8 MB one 22 ms (2 vCPUs).
 _MIN_PART_BYTES = 2 << 20
+# Rows converted, checked and kept at a time, and norms taken at a time.
+_CHUNK_ROWS = 256
 
 
 def _fmt(x) -> str:
@@ -144,41 +147,75 @@ def _header(path, line, usage: str) -> dict[str, int]:
     return out
 
 
-def _convert_lines(lines, width: int | None, sep: str | None):
-    """numpy's C text reader over the rows' value texts, fed one line at a
-    time: (line_of, matrix) when it converts every line left in `lines` to a
-    row of the expected width, else None. Its float conversion gives the bits
-    float() gives, and it splits values on the whitespace str.split() splits
-    on; tokens only float() reads, such as `1_0`, make it raise. Each value
-    text is one row (the reader refuses an embedded carriage return). The
-    reader grows the matrix as it goes: a header's row count is not an
-    allocation size."""
-    line_of: dict[str, int] = {}  # label -> line number, in file order
+@dataclass(frozen=True)
+class _Keep:
+    """The rows a numeric load keeps, and the checks on every row's values
+    beyond finiteness: under `unit` its norm lies within 1e-9 of 1; under `l2`
+    it is not zero, and the kept rows are divided by it."""
 
-    def value_texts():
+    ids: Container[str] | None = None  # labels of the rows kept; None keeps all
+    unit: bool = False
+    l2: bool = False
+
+    def select(self, labels, rows):
+        """The kept rows of a chunk converted from the lines of `labels`, or
+        None if a row fails a check; the row loop then names it."""
+        norms = _row_norms(rows) if self.unit or self.l2 else np.ones(len(rows))
+        if not (np.isfinite(rows).all()
+                and np.all(np.abs(norms - 1.0) <= 1e-9 if self.unit else norms != 0.0)):
+            return None
+        if self.ids is not None:
+            kept = [label in self.ids for label in labels]
+            rows, norms = rows[kept], norms[kept]
+        return rows / norms[:, None] if self.l2 else rows
+
+
+def _convert_lines(lines, width: int | None, sep: str | None, keep: _Keep):
+    """numpy's C text reader over the rows' value texts, _CHUNK_ROWS lines at
+    a time: (line_of, matrix) when it converts every line left in `lines` to a
+    row of the expected width that passes `keep`'s checks, else None. line_of
+    maps every label to its line number, in file order; the matrix holds the
+    kept rows and grows in place by each chunk's, so neither a header's row
+    count nor the rows dropped are ever an allocation size. Its float
+    conversion gives the bits float() gives, and it splits values on the
+    whitespace str.split() splits on; tokens only float() reads, such as
+    `1_0`, make it raise. Each value text is one row (the reader refuses an
+    embedded carriage return)."""
+    line_of: dict[str, int] = {}  # label -> line number, in file order
+    matrix = np.empty((0, width or 0))
+
+    def value_texts(chunk, labels):
         # A line with no value text (with a tab sep: not exactly one tab) or
         # a repeated label stops the reader; the row loop then reports it.
-        for no, line in lines:
+        for no, line in chunk:
             parts = line.split(sep) if sep else line.split(None, 1)
             if len(parts) != 2 or parts[0] in line_of:
                 raise ValueError
             line_of[parts[0]] = no
+            labels.append(parts[0])
             yield parts[1]
 
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns when the body is empty
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            matrix = np.loadtxt(value_texts(), dtype=np.float64, comments=None,
-                                ndmin=2)
-    except ValueError:
-        return None
-    if matrix.shape != (len(line_of), width or matrix.shape[1]):
-        return None
+    for first in lines:
+        chunk = itertools.chain([first], itertools.islice(lines, _CHUNK_ROWS - 1))
+        labels: list[str] = []
+        try:  # a byte that is not UTF-8 raises ParseError, but a row before it
+            # in the chunk may fail a check
+            rows = np.loadtxt(value_texts(chunk, labels), dtype=np.float64,
+                              comments=None, ndmin=2)
+        except (ValueError, ParseError):
+            return None
+        width = width or rows.shape[1]
+        if (rows.shape != (len(labels), width)
+                or (rows := keep.select(labels, rows)) is None):
+            return None
+        start = len(matrix)
+        matrix.resize((start + len(rows), width), refcheck=False)
+        matrix[start:] = rows
     return line_of, matrix
 
 
-def _convert_part(path, start: int, stop: int, skip: int, width: int | None, sep):
+def _convert_part(path, start: int, stop: int, skip: int, width: int | None, sep,
+                  keep: _Keep):
     """_convert_lines over the lines in bytes [start, stop) after the first
     `skip`, numbered from `start`: (line_of, matrix, lines in the range)."""
     counted = []
@@ -186,17 +223,19 @@ def _convert_part(path, start: int, stop: int, skip: int, width: int | None, sep
     def lines():
         counted.append((yield from _text_lines(path, start, stop)))
 
-    converted = _convert_lines(itertools.islice(lines(), skip, None), width, sep)
+    converted = _convert_lines(itertools.islice(lines(), skip, None), width, sep, keep)
     return converted and (*converted, counted[0])
 
 
-def _send_part(r: int, w: int, cpu: int, path, start: int, stop: int, width, sep):
-    """A forked child: convert bytes [start, stop) on `cpu`, send the shape,
-    line count and labels, then the rows, or nothing if refused, and exit."""
+def _send_part(r: int, w: int, cpu: int, path, start: int, stop: int, width, sep,
+               keep: _Keep):
+    """A forked child: convert bytes [start, stop) on `cpu`, send the kept
+    rows' shape, the line count and every label, then the kept rows, or
+    nothing if refused, and exit."""
     try:
         os.close(r)
         os.sched_setaffinity(0, {cpu})
-        converted = _convert_part(path, start, stop, 0, width, sep)
+        converted = _convert_part(path, start, stop, 0, width, sep, keep)
         with open(w, "wb") as out:
             if converted:
                 line_of, matrix, lines = converted
@@ -206,18 +245,20 @@ def _send_part(r: int, w: int, cpu: int, path, start: int, stop: int, width, sep
         os._exit(0)
 
 
-def _convert_body(path, lines, skip: int, width: int | None, sep: str | None):
+def _convert_body(path, lines, skip: int, width: int | None, sep: str | None,
+                  keep: _Keep):
     """The fast path of _read_rows: _convert_lines over `lines`, the lines
     after the first `skip`, or, where fork works and no other thread runs,
     over the file cut at line starts into a part per allowed CPU and
     _MIN_PART_BYTES: the first part here, each other one in a child pinned to
-    its CPU. None if a part is refused or parts share a label or differ in width."""
+    its CPU. None if a part is refused or parts share a label or differ in
+    width. Each child, like this process, holds only its part's kept rows."""
     size, children = os.path.getsize(path), []
     cpus = (sorted(os.sched_getaffinity(0))[:size // _MIN_PART_BYTES]
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1 else [])
     if len(cpus) < 2:
-        return _convert_lines(lines, width, sep)
+        return _convert_lines(lines, width, sep, keep)
     lines.close()
     with open(path, "rb") as f:  # part k starts at the first line at or after k/len(cpus)
         starts = [0, *(f.seek(k * size // len(cpus) - 1) + len(f.readline())
@@ -226,10 +267,11 @@ def _convert_body(path, lines, skip: int, width: int | None, sep: str | None):
         for k in range(1, len(cpus)):
             r, w = os.pipe()
             if (pid := os.fork()) == 0:
-                _send_part(r, w, cpus[k], path, starts[k], starts[k + 1], width, sep)
+                _send_part(r, w, cpus[k], path, starts[k], starts[k + 1], width, sep,
+                           keep)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        if not (converted := _convert_part(path, 0, starts[1], skip, width, sep)):
+        if not (converted := _convert_part(path, 0, starts[1], skip, width, sep, keep)):
             return None
         line_of, matrix, offset = converted
         for _, part in children:
@@ -253,14 +295,16 @@ def _convert_body(path, lines, skip: int, width: int | None, sep: str | None):
             os.waitpid(pid, 0)
 
 
-def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | None):
+def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | None,
+                    keep: _Keep, zero: list):
     """Row by row, the same conversion as _convert_body over the lines after
     the first `skip`, read again from the file, raising ParseError at the
-    first line that breaks the format. Each row's width is checked before its
-    values are kept, so a header cannot ask for more memory than the file
-    holds."""
+    first line that breaks the format or fails a check. Each row's width is
+    checked before its values are kept, so a header cannot ask for more
+    memory than the file holds. Under `l2`, the labels of zero rows go to
+    `zero`, for _read_rows to report once the rows are counted."""
     line_of: dict[str, int] = {}  # label -> line number, in file order
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     for no, line in itertools.islice(_text_lines(path), skip, None):
         if sep is None:
             label, *values = line.split()
@@ -278,32 +322,43 @@ def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | No
             raise ParseError(path, no, f"duplicate {kind} {label!r}")
         line_of[label] = no
         try:
-            rows.append([float(v) for v in values])
+            row = np.array([[float(v) for v in values]])
         except ValueError:
             raise ParseError(path, no, f"non-numeric value in {kind} row") from None
+        if not np.isfinite(row).all():
+            raise ParseError(path, no, "non-finite value (nan or inf)")
+        norm = _row_norms(row) if keep.unit or keep.l2 else None
+        if keep.unit and abs(norm[0] - 1.0) > 1e-9:
+            raise ParseError(path, no, f"row {label!r} declared normalized but has "
+                                       f"norm {norm[0]!r}")
+        if keep.l2 and norm[0] == 0.0:
+            zero.append(label)
+        elif keep.ids is None or label in keep.ids:
+            rows.append(row / norm[:, None] if keep.l2 else row)
     return line_of, np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
 
 
 def _read_rows(path, lines, skip: int, width: int | None, kind: str,
-               sep: str | None = None, declared: tuple[int, int] | None = None):
+               sep: str | None = None, declared: tuple[int, int] | None = None,
+               keep: _Keep = _Keep()):
     """Parse the `label<sep>v1 ... vN` lines left in `lines`, the file's lines
-    after the first `skip`, into the labels, an (n, N) float64 matrix and each
-    row's line number. N is `width`, or the first row's length when `width` is
-    None. A clean body is converted by numpy's text reader as it is read; any
-    other body is read again by the row loop, which names the first bad line.
-    Labels must be unique and values finite; then the (line, n) of a header,
-    if `declared`, must count the rows."""
-    line_of, matrix = (_convert_body(path, lines, skip, width, sep)
-                       or _read_rows_loop(path, skip, width, kind, sep))
-    row_lines = list(line_of.values())
-    finite_rows = np.isfinite(matrix).all(axis=1)
-    if not finite_rows.all():
-        raise ParseError(path, row_lines[int(np.argmin(finite_rows))],
-                         "non-finite value (nan or inf)")
-    if declared is not None and declared[1] != len(row_lines):
+    after the first `skip`, into every label, an (n, N) float64 matrix of the
+    rows `keep` keeps and every label's line number. N is `width`, or the
+    first row's length when `width` is None. A clean body is converted by
+    numpy's text reader as it is read; any other body is read again by the
+    row loop, which names the first bad line. Labels must be unique and
+    values finite and pass `keep`'s checks; then the (line, n) of a header,
+    if `declared`, must count the rows, and under `l2` no row may be zero."""
+    zero: list[str] = []
+    line_of, matrix = (_convert_body(path, lines, skip, width, sep, keep)
+                       or _read_rows_loop(path, skip, width, kind, sep, keep, zero))
+    if declared is not None and declared[1] != len(line_of):
         raise ParseError(path, declared[0], f"header declares n={declared[1]} but "
-                                            f"file has {len(row_lines)} rows")
-    return tuple(line_of), matrix, row_lines
+                                            f"file has {len(line_of)} rows")
+    if zero:
+        raise DegenerateFeatureError(
+            f"cannot length-normalize zero feature vector ({zero[0]})")
+    return tuple(line_of), matrix, list(line_of.values())
 
 
 def _write_rows(path, header, labels, rows, sep: str = " ") -> None:
@@ -329,6 +384,10 @@ class FeatureSet:
     ids: tuple[str, ...]
     matrix: np.ndarray  # (n, d) float64
     normalized: bool
+    file_ids: tuple[str, ...] | None = None  # every id in the file; None: `ids`
+
+    def __post_init__(self):
+        self.file_ids = self.ids if self.file_ids is None else self.file_ids
 
     @property
     def d(self) -> int:
@@ -336,44 +395,33 @@ class FeatureSet:
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """`np.linalg.norm(matrix, axis=1)`, taken 256 rows at a time so that the
-    squared entries never fill a temporary as large as the matrix. Each row's
-    norm is reduced on its own, so the values are the same bits."""
+    """`np.linalg.norm(matrix, axis=1)`, taken _CHUNK_ROWS rows at a time so
+    that the squared entries never fill a temporary as large as the matrix.
+    Each row's norm is reduced on its own, so the values are the same bits."""
     norms = np.empty(len(matrix))
-    for start in range(0, len(matrix), 256):
-        norms[start:start + 256] = np.linalg.norm(matrix[start:start + 256], axis=1)
+    for start in range(0, len(matrix), _CHUNK_ROWS):
+        norms[start:start + _CHUNK_ROWS] = np.linalg.norm(
+            matrix[start:start + _CHUNK_ROWS], axis=1)
     return norms
 
 
-def l2_normalize_rows(matrix: np.ndarray, ids) -> np.ndarray:
-    norms = _row_norms(matrix)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateFeatureError(
-            f"cannot length-normalize zero feature vector ({ids[zero[0]]})")
-    return matrix / norms[:, None]
-
-
-def load_features(path, l2_normalize: bool = False) -> FeatureSet:
+def load_features(path, l2_normalize: bool = False,
+                  keep: Container[str] | None = None) -> FeatureSet:
+    """The rows of the ids in `keep`, or of every id if None, with `file_ids`
+    listing every id. Every row is read and checked; a row declared
+    normalized must have norm 1, and under `l2_normalize` every row must be
+    nonzero and the kept rows are divided by their norms."""
     lines = _text_lines(path)
     first = next(lines, None)
     if first is None:
         raise ParseError(path, 1, "empty feature file")
     header = _header(path, first, "d=<int> n=<int> normalized=<0|1>")
-    ids, rows, row_lines = _read_rows(path, lines, 1, header["d"], "instance id",
-                                      declared=(first[0], header["n"]))
     normalized = header["normalized"] == 1
-    if normalized:
-        norms = _row_norms(rows)
-        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
-        if off.size:
-            raise ParseError(path, row_lines[off[0]],
-                             f"row {ids[off[0]]!r} declared normalized but has "
-                             f"norm {norms[off[0]]!r}")
-    if l2_normalize:
-        rows = l2_normalize_rows(rows, ids)
-        normalized = True
-    return FeatureSet(ids, rows, normalized)
+    ids, rows, _ = _read_rows(path, lines, 1, header["d"], "instance id",
+                              declared=(first[0], header["n"]),
+                              keep=_Keep(keep, normalized, l2_normalize))
+    return FeatureSet(ids if keep is None else tuple(i for i in ids if i in keep),
+                      rows, normalized or l2_normalize, ids)
 
 
 def save_features(path, features: FeatureSet) -> None:
@@ -435,12 +483,20 @@ def save_splits(path, splits: ClassSplits) -> None:
 
 
 def load_dataset(features_path, labels_path, splits_path,
-                 l2_normalize: bool = False) -> SplitDataset:
-    """Join the three files by instance id, in feature-file order."""
-    features = load_features(features_path, l2_normalize=l2_normalize)
-    labels = load_labels(labels_path)
-    splits = load_splits(splits_path)
-    missing, extra = _id_join(features.ids, labels)
+                 l2_normalize: bool = False, keep_splits=SPLIT_NAMES) -> SplitDataset:
+    """Join the three files by instance id, in feature-file order, keeping
+    the rows of the splits `keep_splits` names, and of labels in no split
+    for SplitDataset to refuse. Every row is still read and checked and every
+    id joined, and a fault in the features file is reported first."""
+    try:
+        labels, splits = load_labels(labels_path), load_splits(splits_path)
+    except (ZslError, OSError):
+        load_features(features_path, l2_normalize=l2_normalize)
+        raise
+    dropped = {c for s in SPLIT_NAMES if s not in keep_splits for c in splits.classes(s)}
+    features = load_features(features_path, l2_normalize=l2_normalize,
+                             keep={i for i, c in labels.items() if c not in dropped})
+    missing, extra = _id_join(features.file_ids, labels)
     if missing:
         raise AlignmentError(f"feature id(s) without a label: {missing[:5]}")
     if extra:
@@ -576,41 +632,45 @@ class Checkpoint:
 
 
 def save_checkpoint(path, model: CompatModel, classes, block_layout) -> None:
+    """Write the magic and metadata lines, then W_e itself: no copy of it."""
     meta = {
         "d": model.d,
         "m": model.m,
         "classes": list(classes),
         "block_layout": [[tag, off, ln] for tag, off, ln in block_layout],
     }
-    blob = (_CHECKPOINT_MAGIC
-            + json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n"
-            + np.ascontiguousarray(model.W_e, dtype="<f8").tobytes())
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as f:
+        f.write(_CHECKPOINT_MAGIC + json.dumps(meta, sort_keys=True).encode("utf-8")
+                + b"\n")
+        f.write(np.ascontiguousarray(model.W_e, dtype="<f8"))
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read the payload straight into W_e, once its length is checked."""
     with open(path, "rb") as f:
         if f.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:
             raise ParseError(path, 1, "not a checkpoint file (bad magic)")
         meta_line = f.readline()
-        raw = f.read()
-    try:
-        if not meta_line.endswith(b"\n"):
-            raise ValueError
-        meta = json.loads(meta_line.decode("utf-8"))
-        d, m = int(meta["d"]), int(meta["m"])
-        if d < 1 or m < 1:
-            raise ValueError
-        classes = tuple(meta.get("classes", []))
-        layout = tuple((tag, int(off), int(ln))
-                       for tag, off, ln in meta.get("block_layout", []))
-    except (ValueError, KeyError, TypeError, OverflowError):
-        raise ParseError(path, 2, "bad checkpoint metadata") from None
-    expected = (d + 1) * (m + 1) * 8
-    if len(raw) != expected:
+        try:
+            if not meta_line.endswith(b"\n"):
+                raise ValueError
+            meta = json.loads(meta_line.decode("utf-8"))
+            d, m = int(meta["d"]), int(meta["m"])
+            if d < 1 or m < 1:
+                raise ValueError
+            classes = tuple(meta.get("classes", []))
+            layout = tuple((tag, int(off), int(ln))
+                           for tag, off, ln in meta.get("block_layout", []))
+        except (ValueError, KeyError, TypeError, OverflowError):
+            raise ParseError(path, 2, "bad checkpoint metadata") from None
+        expected = (d + 1) * (m + 1) * 8
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size == expected:
+            W_e = np.empty((d + 1, m + 1), dtype="<f8")
+            size = f.readinto(W_e)
+    if size != expected:
         raise ParseError(path, 2,
-                         f"checkpoint payload is {len(raw)} bytes, expected {expected}")
-    W_e = np.frombuffer(raw, dtype="<f8").reshape(d + 1, m + 1).copy()
+                         f"checkpoint payload is {size} bytes, expected {expected}")
     if not np.isfinite(W_e).all():
         raise ParseError(path, 2, "checkpoint payload has a non-finite value (nan or inf)")
     return Checkpoint(CompatModel(W_e), classes, layout)

@@ -244,6 +244,19 @@ class TestClassCodes:
             covered += rows
         assert sorted(covered) == list(range(len(dataset.labels)))
 
+    @pytest.mark.parametrize("split", SPLIT_NAMES)
+    def test_subset_of_every_row_is_the_stored_matrix(self, split):
+        """A split that holds every row returns `features` itself, not a copy."""
+        dataset, _, _ = shuffled_problem(0)
+        X, label_idx = dataset.subset(split)
+        rows = X[:, 0].astype(int).tolist()
+        only = SplitDataset([dataset.ids[r] for r in rows], X,
+                            [dataset.labels[r] for r in rows], dataset.splits)
+        X_only, idx_only = only.subset(split)
+        assert np.shares_memory(X_only, only.features)
+        assert X_only.tobytes() == X.tobytes() and idx_only.tolist() == label_idx.tolist()
+        assert not np.shares_memory(X, dataset.features)
+
     @pytest.mark.parametrize("split", ["zsl_validation", "zsl_test"])
     @pytest.mark.parametrize("seed", range(3))
     def test_evaluate_zsl_matches_string_walk(self, seed, split):

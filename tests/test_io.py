@@ -351,6 +351,54 @@ class TestLoadDataset:
         assert back.labels == dataset.labels
         np.testing.assert_array_equal(back.features, dataset.features)
 
+    @pytest.mark.parametrize("keep", [("zsl_test",), ("seen", "zsl_validation"), ()])
+    def test_keeps_the_rows_of_the_named_splits(self, tmp_path, keep):
+        dataset, sources = block_signal_problem(seed=0, n_classes=6, n_seen=3,
+                                                n_val=2, per_class=4)
+        write_experiment_files(tmp_path, dataset, sources)
+        paths = [tmp_path / name for name in ("features.txt", "labels.tsv", "splits.txt")]
+        full = io.load_dataset(*paths)
+        back = io.load_dataset(*paths, keep_splits=keep)
+        classes = {c for split in keep for c in full.splits.classes(split)}
+        rows = [k for k, label in enumerate(full.labels) if label in classes]
+        assert back.ids == tuple(full.ids[k] for k in rows)
+        assert back.labels == tuple(full.labels[k] for k in rows)
+        assert back.features.tobytes() == full.features[rows].tobytes()
+        for split in keep:
+            assert [a.tobytes() for a in back.subset(split)] == [
+                a.tobytes() for a in full.subset(split)]
+
+    @pytest.mark.parametrize("features, labels, splits", [
+        ("x 1.0\ny 2.0\nz 3.0\n", "x\tA\ny\tC\nz\tC\nw\tA\n", None),
+        ("x 1.0\ny 2.0\nz 3.0\n", "y\tC\nz\tC\n", None),
+        ("x 1.0\ny 2.0\nz 3.0\n", "x\tstray\ny\tC\nz\tC\n", None),
+        ("x 1.0\ny x\nz 3.0\n", "x\tA\ny\tC\nz\n", None),
+        ("x 1.0\ny 2.0\nz 3.0\n", "x\tA\ny\tC\nz\n", None),
+        ("x 1.0\ny x\nz 3.0\n", "x\tA\ny\tC\nz\tC\n", "[seen]\n"),
+        ("x 1.0\ny 2.0\nz 3.0\n", "x\tA\ny\tC\nz\tC\n", "[seen]\n"),
+        ("x 1.0\ny 2.0\nz 3.0\n", "x\tA\ny\tC\nz\tC\n", None),
+    ], ids=["dropped-label-without-row", "dropped-row-without-label",
+            "label-in-no-split", "bad-features-and-labels", "bad-labels",
+            "bad-features-and-splits", "bad-splits", "clean"])
+    def test_kept_load_checks_every_row_and_label(self, tmp_path, features, labels,
+                                                   splits):
+        """Keeping only the test split, the load fails where the full load does,
+        with the same first error, or returns the test rows."""
+        (tmp_path / "f.txt").write_text("d=1 n=3 normalized=0\n" + features)
+        (tmp_path / "l.tsv").write_text(labels)
+        (tmp_path / "s.txt").write_text(
+            splits or "[seen]\nA\n[zsl_validation]\nB\n[zsl_test]\nC\n")
+
+        def load(**keep):
+            try:
+                dataset = io.load_dataset(tmp_path / "f.txt", tmp_path / "l.tsv",
+                                          tmp_path / "s.txt", **keep)
+            except ZslError as exc:
+                return type(exc), str(exc)
+            return dataset.subset("zsl_test")[0].tobytes()
+
+        assert load(keep_splits=("zsl_test",)) == load()
+
     def test_missing_label_detected(self, tmp_path):
         (tmp_path / "f.txt").write_text("d=1 n=1 normalized=0\nx 1.0\n")
         (tmp_path / "l.tsv").write_text("y\tA\n")
@@ -484,8 +532,13 @@ class TestStreamedLoaders:
          4, "duplicate class 'a'"),
         (io.load_features, b"d=1 n=3 normalized=0\na 1.0\n\nb 2.0\n",
          1, "header declares n=3 but file has 2 rows"),
+        (io.load_features, b"d=2 n=2 normalized=0\na nan 1.0\nb 1.0\n",
+         2, "non-finite value (nan or inf)"),
+        (io.load_features, b"d=2 n=2 normalized=1\na 3.0 4.0\nb 1.0\n",
+         2, f"row 'a' declared normalized but has norm {np.float64(5.0)!r}"),
     ], ids=["bad-row-before-bad-byte", "bad-pair-before-bad-byte",
-            "bad-row-and-wrong-n", "repeated-class-and-wrong-n", "wrong-n-clean-body"])
+            "bad-row-and-wrong-n", "repeated-class-and-wrong-n", "wrong-n-clean-body",
+            "nan-before-short-row", "norm-before-short-row"])
     def test_first_fault_in_reading_order(self, tmp_path, loader, data, line, message):
         """The earlier of two faults is reported; a header's wrong row count
         only when the rows after it parse."""
@@ -510,7 +563,7 @@ def traced_peak(load, path):
 
 class TestLoadMemory:
     """A text load holds its result plus about one line of the file, not the
-    file; a checkpoint load holds its payload twice, as bytes and as W_e."""
+    file; a checkpoint load or save holds W_e and little more."""
 
     def test_features(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -557,6 +610,34 @@ class TestLoadMemory:
         io.save_checkpoint(path, model, ("c",), ())
         _, peak = traced_peak(io.load_checkpoint, path)
         assert peak < 3 * model.W_e.nbytes
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_kept_rows(self, tmp_path, parts):
+        """Keeping 1 row in 5, the load holds the kept rows, not all of them."""
+        rng = np.random.default_rng(8)
+        ids = tuple(f"i{k}" for k in range(2000))
+        path = tmp_path / "f.txt"
+        io.save_features(path, io.FeatureSet(ids, rng.normal(size=(2000, 300)), False))
+        with forced_parts(parts) if parts > 1 else contextlib.nullcontext():
+            features, peak = traced_peak(
+                lambda path: io.load_features(path, keep=set(ids[::5])), path)
+        assert features.ids == ids[::5] and features.file_ids == ids
+        assert peak <= features.matrix.nbytes + 2000 * 300 * 8 // 4
+
+    def test_checkpoint_load_reads_into_W_e(self, tmp_path):
+        model = CompatModel(np.random.default_rng(7).normal(size=(301, 201)))
+        path = tmp_path / "m.ckpt"
+        io.save_checkpoint(path, model, ("c",), ())
+        _, peak = traced_peak(io.load_checkpoint, path)
+        assert peak < 1.25 * model.W_e.nbytes
+
+    def test_checkpoint_save_writes_W_e(self, tmp_path):
+        model = CompatModel(np.random.default_rng(7).normal(size=(301, 201)))
+        path = tmp_path / "m.ckpt"
+        _, peak = traced_peak(lambda path: io.save_checkpoint(path, model, ("c",), ()),
+                              path)
+        assert peak < 0.25 * model.W_e.nbytes
+        assert io.load_checkpoint(path).model.W_e.tobytes() == model.W_e.tobytes()
 
 
 # Body rows of the three labelled-row formats: floats in every spelling
@@ -686,6 +767,89 @@ def rows_of(*labels, values=(LONG,)):
     return [(label, [(" ", value) for value in values]) for label in labels]
 
 
+# Rows of a feature file a load keeps in part: values that pass, fail a
+# check or stop numpy's reader, and zero vectors; the label \udcff is written
+# as a byte that is not UTF-8.
+KEPT_ROW = st.tuples(
+    st.sampled_from(["a", "b", "c", "d", "e", "\udcff"]),
+    st.lists(st.sampled_from(["1.5", "-0.25", "3", "0", "-0.0", "1e-320", "0.6", "0.8",
+                              "nan", "inf", "x", "1_0"]), min_size=1, max_size=3))
+
+
+def kept_rows(path, keep, l2_normalize, select=None):
+    """Every id of the file and, for each row load_features returns whose id
+    `select` holds (every row if None), its id, bytes and line number; or the
+    type, line and message of the error the load raises."""
+    calls = []
+    read_rows = io._read_rows
+
+    def spy(*args, **kwargs):
+        calls.append(read_rows(*args, **kwargs))
+        return calls[-1]
+
+    with mock.patch.object(io, "_read_rows", spy):
+        try:
+            features = io.load_features(path, l2_normalize=l2_normalize, keep=keep)
+        except ZslError as exc:
+            return type(exc), getattr(exc, "line", None), str(exc)
+    [(ids, _, lines)] = calls
+    line_of = dict(zip(ids, lines))
+    return features.file_ids, [(i, row.tobytes(), line_of[i])
+                               for i, row in zip(features.ids, features.matrix)
+                               if select is None or i in select]
+
+
+class TestKeptRows:
+    """A load that keeps the rows of some ids gives the full load's rows of
+    those ids, with the same bytes and line numbers, or raises the same
+    error: every row is still checked, serially and in parts."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.lists(KEPT_ROW, min_size=1, max_size=6),
+           keep=st.sets(st.sampled_from("abcde")), normalized=st.booleans(),
+           l2=st.booleans())
+    # each fault in a dropped row: a bad row, a byte that is not UTF-8, a
+    # nan, a zero vector under l2_normalize
+    @example(rows=[("a", ["1.5", "x"]), ("b", ["0.6", "0.8"])], keep={"b"},
+             normalized=False, l2=False)
+    @example(rows=[("b", ["1.5"]), ("\udcff", ["1.5"]), ("c", ["3"])], keep={"b", "c"},
+             normalized=False, l2=False)
+    @example(rows=[("a", ["nan"]), ("b", ["1.5"])], keep={"b"}, normalized=False,
+             l2=False)
+    @example(rows=[("a", ["1.5", "3"]), ("b", ["0", "-0.0"]), ("c", ["0.6", "0.8"])],
+             keep={"a", "c"}, normalized=False, l2=True)
+    # clean files, declared normalized or divided by their norms
+    @example(rows=[("a", ["0.6", "0.8"]), ("b", ["0.8", "0.6"]), ("c", ["-0.0", "1e0"])],
+             keep={"b"}, normalized=True, l2=False)
+    @example(rows=[("a", ["1.5", "3"]), ("b", ["-0.25", "3"]), ("c", ["0.6", "1_0"])],
+             keep={"a", "c"}, normalized=False, l2=True)
+    def test_same_as_full_load(self, parts, rows, keep, normalized, l2, fuzz_dir):
+        path = fuzz_dir / "kept.txt"
+        header = f"d={len(rows[0][1])} n={len(rows)} normalized={int(normalized)}\n"
+        path.write_text(header + "".join(f"{label} {' '.join(values)}\n"
+                                         for label, values in rows),
+                        encoding="utf-8", errors="surrogateescape")
+        expected = kept_rows(path, None, l2, select=keep)
+        with forced_parts(parts) if parts > 1 else contextlib.nullcontext():
+            assert kept_rows(path, keep, l2) == expected
+
+    @pytest.mark.parametrize("normalized, l2", [(True, False), (False, True), (True, True)])
+    def test_row_loop_keeps_the_same_bits(self, tmp_path, normalized, l2):
+        """Rows checked and divided 256 at a time and one at a time agree."""
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(600, 7)) * 10.0 ** rng.integers(-100, 100, size=(600, 1))
+        if normalized:
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        ids = tuple(f"i{k}" for k in range(600))
+        path = tmp_path / "f.txt"
+        io.save_features(path, io.FeatureSet(ids, rows, normalized))
+        expected = kept_rows(path, set(ids[1::3]), l2)
+        with mock.patch.object(io, "_convert_body", lambda *args: None):
+            assert kept_rows(path, set(ids[1::3]), l2) == expected
+        assert len(expected[1]) == 200
+
+
 class TestPartedConversion:
     """A body cut into parts converted at once, the later ones in forked
     children, gives what the serial conversion gives: the same labels,
@@ -741,6 +905,18 @@ class TestPartedConversion:
         assert list(loaded.vectors) == list(table.vectors)
         assert np.array_equal(np.array(list(loaded.vectors.values())),
                               np.array(list(table.vectors.values())))
+
+    def test_parts_with_no_rows_skip_the_row_loop(self, tmp_path, monkeypatch):
+        """Rows longer than a part leave parts with no rows, which convert to
+        (0, d), not to a refusal."""
+        monkeypatch.setattr(io, "_read_rows_loop", refuse_row_loop)
+        path = tmp_path / "f.txt"
+        path.write_text(f"d=3 n=2 normalized=0\na {LONG} {LONG} {LONG}\n"
+                        f"b {LONG} {LONG} {LONG}\n")
+        with forced_parts(4) as forks:
+            features = io.load_features(path)
+        assert len(forks) == 3
+        assert features.ids == ("a", "b") and features.matrix.shape == (2, 3)
 
     @pytest.mark.parametrize("last_value, interrupt, raises", [
         (LONG, False, None), ("x", False, ParseError), (LONG, True, KeyboardInterrupt),
