@@ -6,8 +6,8 @@ newline character ends a line, and a carriage return before it is stripped;
 other line-break characters are whitespace within a line. Text files are read
 one line at a time, and a load reports the first fault in reading order. A
 numeric body is converted and checked 256 lines at a time, and a load may keep
-only the rows of some labels, though it reads and checks every row; a large
-body is converted in parts, one per CPU, with the same result. Formats:
+only the rows of some labels, though it reads and checks every row. A large
+body is read, or written, in parts, one per CPU, with the same result. Formats:
 
   features     header `d=<int> n=<int> normalized=<0|1>`, then `id v1 ... vd`
   labels       `id<TAB>class_label`
@@ -27,6 +27,7 @@ Floats are written with repr() and therefore round-trip bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -61,6 +62,8 @@ _CHECKPOINT_MAGIC = b"ZSLCKPT1\n"
 # The smallest part worth a forked child, which costs about 15 ms of CPU: cut
 # in two, a 3.2 MB file gained no wall time, a 3.8 MB one 22 ms (2 vCPUs).
 _MIN_PART_BYTES = 2 << 20
+# The fewest values a written part holds: cut in two, 50k lost 5 ms, 100k won 36 ms.
+_MIN_PART_VALUES = 50_000
 # Rows converted, checked and kept at a time, and norms taken at a time.
 _CHUNK_ROWS = 256
 
@@ -151,7 +154,7 @@ def _header(path, line, usage: str) -> dict[str, int]:
 class _Keep:
     """The rows a numeric load keeps, and the checks on every row's values
     beyond finiteness: under `unit` its norm lies within 1e-9 of 1; under `l2`
-    it is not zero, and the kept rows are divided by it."""
+    it is neither zero nor infinite, and the kept rows are divided by it."""
 
     ids: Container[str] | None = None  # labels of the rows kept; None keeps all
     unit: bool = False
@@ -162,7 +165,8 @@ class _Keep:
         None if a row fails a check; the row loop then names it."""
         norms = _row_norms(rows) if self.unit or self.l2 else np.ones(len(rows))
         if not (np.isfinite(rows).all()
-                and np.all(np.abs(norms - 1.0) <= 1e-9 if self.unit else norms != 0.0)):
+                and np.all(np.abs(norms - 1.0) <= 1e-9 if self.unit
+                           else (0.0 < norms) & (norms < np.inf))):
             return None
         if self.ids is not None:
             kept = [label in self.ids for label in labels]
@@ -214,11 +218,14 @@ def _convert_lines(lines, width: int | None, sep: str | None, keep: _Keep):
     return line_of, matrix
 
 
-def _convert_part(path, start: int, stop: int, skip: int, width: int | None, sep,
+def _convert_part(path, k: int, n: int, skip: int, width: int | None, sep,
                   keep: _Keep):
-    """_convert_lines over the lines in bytes [start, stop) after the first
-    `skip`, numbered from `start`: (line_of, matrix, lines in the range)."""
-    counted = []
+    """_convert_lines over part k of n, from the first line at or after byte
+    k * size // n, but its first `skip`: (line_of from there, matrix, lines)."""
+    size, counted = os.path.getsize(path), []
+    with open(path, "rb") as f:
+        start, stop = (f.seek(j * size // n - 1) + len(f.readline()) if 0 < j < n
+                       else j // n * size for j in (k, k + 1))
 
     def lines():
         counted.append((yield from _text_lines(path, start, stop)))
@@ -227,72 +234,68 @@ def _convert_part(path, start: int, stop: int, skip: int, width: int | None, sep
     return converted and (*converted, counted[0])
 
 
-def _send_part(r: int, w: int, cpu: int, path, start: int, stop: int, width, sep,
-               keep: _Keep):
-    """A forked child: convert bytes [start, stop) on `cpu`, send the kept
-    rows' shape, the line count and every label, then the kept rows, or
-    nothing if refused, and exit."""
-    try:
-        os.close(r)
-        os.sched_setaffinity(0, {cpu})
-        converted = _convert_part(path, start, stop, 0, width, sep, keep)
-        with open(w, "wb") as out:
-            if converted:
-                line_of, matrix, lines = converted
-                pickle.dump((matrix.shape, lines, line_of), out)
-                out.write(matrix)
-    finally:
-        os._exit(0)
-
-
-def _convert_body(path, lines, skip: int, width: int | None, sep: str | None,
-                  keep: _Keep):
-    """The fast path of _read_rows: _convert_lines over `lines`, the lines
-    after the first `skip`, or, where fork works and no other thread runs,
-    over the file cut at line starts into a part per allowed CPU and
-    _MIN_PART_BYTES: the first part here, each other one in a child pinned to
-    its CPU. None if a part is refused or parts share a label or differ in
-    width. Each child, like this process, holds only its part's kept rows."""
-    size, children = os.path.getsize(path), []
-    cpus = (sorted(os.sched_getaffinity(0))[:size // _MIN_PART_BYTES]
+@contextlib.contextmanager
+def _forked(parts: int, send):
+    """Yields n, the allowed CPUs up to `parts` (1 unless fork works and no
+    other thread runs), and a pipe from each child k = 1 .. n-1, pinned to its
+    own CPU, that runs send(pipe, k, n). On leaving, all are killed and reaped."""
+    cpus = (sorted(os.sched_getaffinity(0))[:parts]
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1 else [])
-    if len(cpus) < 2:
-        return _convert_lines(lines, width, sep, keep)
-    lines.close()
-    with open(path, "rb") as f:  # part k starts at the first line at or after k/len(cpus)
-        starts = [0, *(f.seek(k * size // len(cpus) - 1) + len(f.readline())
-                       for k in range(1, len(cpus))), size]
+    children = []
     try:
         for k in range(1, len(cpus)):
             r, w = os.pipe()
             if (pid := os.fork()) == 0:
-                _send_part(r, w, cpus[k], path, starts[k], starts[k + 1], width, sep,
-                           keep)
+                try:
+                    os.close(r)
+                    os.sched_setaffinity(0, {cpus[k]})
+                    with open(w, "wb") as out:
+                        send(out, k, len(cpus))
+                finally:
+                    os._exit(0)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        if not (converted := _convert_part(path, 0, starts[1], skip, width, sep, keep)):
-            return None
-        line_of, matrix, offset = converted
-        for _, part in children:
-            try:
-                (n, cols), count, part_of = pickle.load(part)
-            except (EOFError, pickle.UnpicklingError):  # the child sent nothing
-                return None
-            if n and cols != matrix.shape[1] or not line_of.keys().isdisjoint(part_of):
-                return None
-            rows = len(matrix)  # grown in place: never a second full-size matrix
-            matrix.resize((rows + n, matrix.shape[1]), refcheck=False)
-            if part.readinto(matrix[rows:]) < matrix[rows:].nbytes:
-                return None
-            line_of.update((label, no + offset) for label, no in part_of.items())
-            offset += count
-        return line_of, matrix
+        yield max(len(cpus), 1), [part for _, part in children]
     finally:
         for pid, part in children:
             part.close()
             os.kill(pid, 9)  # SIGKILL; importing signal would add 0.1-0.2 MB of RSS
             os.waitpid(pid, 0)
+
+
+def _convert_body(path, skip: int, width: int | None, sep: str | None, keep: _Keep):
+    """The fast path of _read_rows: _convert_lines over the lines after the
+    first `skip`, in _forked parts of _MIN_PART_BYTES; a child sends the kept
+    rows' shape, its line count, every label and the rows, or nothing if
+    refused. None if a part is refused, repeats a label or differs in width."""
+    def send(out, k, n):
+        if converted := _convert_part(path, k, n, 0, width, sep, keep):
+            line_of, matrix, count = converted
+            pickle.dump((matrix.shape, count, line_of), out)
+            out.write(matrix)
+
+    with _forked(os.path.getsize(path) // _MIN_PART_BYTES, send) as (n, parts):
+        if n == 1:
+            return _convert_lines(itertools.islice(_text_lines(path), skip, None),
+                                  width, sep, keep)
+        if not (converted := _convert_part(path, 0, n, skip, width, sep, keep)):
+            return None
+        line_of, matrix, offset = converted
+        for part in parts:
+            try:
+                (rows, cols), count, part_of = pickle.load(part)
+            except (EOFError, pickle.UnpicklingError):  # the child sent nothing
+                return None
+            if rows and cols != matrix.shape[1] or not line_of.keys().isdisjoint(part_of):
+                return None
+            start = len(matrix)  # grown in place: never a second full-size matrix
+            matrix.resize((start + rows, matrix.shape[1]), refcheck=False)
+            if part.readinto(matrix[start:]) < matrix[start:].nbytes:
+                return None
+            line_of.update((label, no + offset) for label, no in part_of.items())
+            offset += count
+        return line_of, matrix
 
 
 def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | None,
@@ -331,6 +334,8 @@ def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | No
         if keep.unit and abs(norm[0] - 1.0) > 1e-9:
             raise ParseError(path, no, f"row {label!r} declared normalized but has "
                                        f"norm {norm[0]!r}")
+        if keep.l2 and norm[0] == np.inf:
+            raise ParseError(path, no, f"row {label!r} has a norm too large for a float")
         if keep.l2 and norm[0] == 0.0:
             zero.append(label)
         elif keep.ids is None or label in keep.ids:
@@ -338,19 +343,19 @@ def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | No
     return line_of, np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
 
 
-def _read_rows(path, lines, skip: int, width: int | None, kind: str,
+def _read_rows(path, skip: int, width: int | None, kind: str,
                sep: str | None = None, declared: tuple[int, int] | None = None,
                keep: _Keep = _Keep()):
-    """Parse the `label<sep>v1 ... vN` lines left in `lines`, the file's lines
-    after the first `skip`, into every label, an (n, N) float64 matrix of the
-    rows `keep` keeps and every label's line number. N is `width`, or the
-    first row's length when `width` is None. A clean body is converted by
-    numpy's text reader as it is read; any other body is read again by the
-    row loop, which names the first bad line. Labels must be unique and
-    values finite and pass `keep`'s checks; then the (line, n) of a header,
-    if `declared`, must count the rows, and under `l2` no row may be zero."""
+    """Parse the `label<sep>v1 ... vN` lines of a file after the first `skip`
+    into every label, an (n, N) float64 matrix of the rows `keep` keeps and
+    every label's line number. N is `width`, or the first row's length when
+    `width` is None. A clean body is converted by numpy's text reader as it
+    is read; any other body is read again by the row loop, which names the
+    first bad line. Labels must be unique and values finite and pass `keep`'s
+    checks; then the (line, n) of a header, if `declared`, must count the
+    rows, and under `l2` no row may be zero."""
     zero: list[str] = []
-    line_of, matrix = (_convert_body(path, lines, skip, width, sep, keep)
+    line_of, matrix = (_convert_body(path, skip, width, sep, keep)
                        or _read_rows_loop(path, skip, width, kind, sep, keep, zero))
     if declared is not None and declared[1] != len(line_of):
         raise ParseError(path, declared[0], f"header declares n={declared[1]} but "
@@ -362,10 +367,30 @@ def _read_rows(path, lines, skip: int, width: int | None, kind: str,
 
 
 def _write_rows(path, header, labels, rows, sep: str = " ") -> None:
-    """Write header lines, then one `label<sep>v1 ... vN` line per row. The
-    rows are float64, so repr() of their elements writes what _fmt writes."""
-    _write_lines(path, [*header, *(label + sep + " ".join(map(repr, row.tolist()))
-                                   for label, row in zip(labels, rows))])
+    """Write header lines, then a `label<sep>v1 ... vN` line in repr() (as _fmt)
+    per row of the finite float64 `rows`, once all _forked parts of
+    _MIN_PART_VALUES are formatted: by a child, which sends the text's length
+    and the text, or here if sent short."""
+    labels, finite = list(labels), np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ZslError(f"{path}: cannot write row {labels[finite.argmin()]!r}: nan or inf")
+
+    def text(k, n):
+        part = slice(k * len(rows) // n, (k + 1) * len(rows) // n)
+        return "".join(f"{label}{sep}{' '.join(map(repr, row.tolist()))}\n"
+                       for label, row in zip(labels[part], rows[part])).encode()
+
+    def send(out, k, n):
+        out.writelines((len(body := text(k, n)).to_bytes(8, "little"), body))
+
+    with _forked(rows.size // _MIN_PART_VALUES, send) as (n, parts):
+        bodies = [text(0, n)]
+        for k, part in enumerate(parts, start=1):
+            body = part.read(size := int.from_bytes(head := part.read(8), "little"))
+            bodies.append(body if len(head) == 8 and len(body) == size else text(k, n))
+    head = "".join(f"{line}\n" for line in header)
+    with open(path, "wb") as f:
+        f.writelines([(head if head or labels else "\n").encode(), *bodies])
 
 
 def _id_join(feature_ids, labels) -> tuple[list[str], list[str]]:
@@ -397,11 +422,16 @@ class FeatureSet:
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """`np.linalg.norm(matrix, axis=1)`, taken _CHUNK_ROWS rows at a time so
     that the squared entries never fill a temporary as large as the matrix.
-    Each row's norm is reduced on its own, so the values are the same bits."""
+    Each row's norm is reduced on its own, so the values are the same bits;
+    one that over- or underflows is m * norm(row / m), m = max |row| > 0."""
     norms = np.empty(len(matrix))
-    for start in range(0, len(matrix), _CHUNK_ROWS):
-        norms[start:start + _CHUNK_ROWS] = np.linalg.norm(
-            matrix[start:start + _CHUNK_ROWS], axis=1)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(matrix), _CHUNK_ROWS):
+            norms[start:start + _CHUNK_ROWS] = np.linalg.norm(
+                matrix[start:start + _CHUNK_ROWS], axis=1)
+        for i in np.flatnonzero(np.isinf(norms) | (norms == 0.0)):
+            if 0.0 < (m := np.abs(matrix[i]).max()) < np.inf:
+                norms[i] = m * np.linalg.norm(matrix[i] / m)
     return norms
 
 
@@ -411,13 +441,12 @@ def load_features(path, l2_normalize: bool = False,
     listing every id. Every row is read and checked; a row declared
     normalized must have norm 1, and under `l2_normalize` every row must be
     nonzero and the kept rows are divided by their norms."""
-    lines = _text_lines(path)
-    first = next(lines, None)
+    first = next(_text_lines(path), None)
     if first is None:
         raise ParseError(path, 1, "empty feature file")
     header = _header(path, first, "d=<int> n=<int> normalized=<0|1>")
     normalized = header["normalized"] == 1
-    ids, rows, _ = _read_rows(path, lines, 1, header["d"], "instance id",
+    ids, rows, _ = _read_rows(path, 1, header["d"], "instance id",
                               declared=(first[0], header["n"]),
                               keep=_Keep(keep, normalized, l2_normalize))
     return FeatureSet(ids if keep is None else tuple(i for i in ids if i in keep),
@@ -510,14 +539,15 @@ def load_dataset(features_path, labels_path, splits_path,
 # ---------------------------------------------------------------------------
 
 def load_word_vectors(path) -> WordVectorTable:
-    tokens, matrix, _ = _read_rows(path, _text_lines(path), 0, None, "token")
+    tokens, matrix, _ = _read_rows(path, 0, None, "token")
     if not tokens:
         raise ParseError(path, 1, "empty word-vector file")
     return WordVectorTable(matrix.shape[1], dict(zip(tokens, matrix)))
 
 
 def save_word_vectors(path, table: WordVectorTable) -> None:
-    _write_rows(path, [], table.vectors.keys(), table.vectors.values())
+    _write_rows(path, [], table.vectors, np.array(list(table.vectors.values()))
+                .reshape(len(table.vectors), table.dimension))
 
 
 def load_taxonomy(path) -> TaxonomyTree:
@@ -609,7 +639,7 @@ def load_class_embeddings(path) -> ClassEmbeddingSet:
             layout.append((tag, int(off), int(ln)))
         except ValueError:
             raise ParseError(path, h2_no, f"bad block spec {item!r}") from None
-    names, matrix, _ = _read_rows(path, lines, 2, header["m"], "class", sep="\t",
+    names, matrix, _ = _read_rows(path, 2, header["m"], "class", sep="\t",
                                   declared=(first[0], header["n"]))
     return ClassEmbeddingSet(names, matrix, tuple(layout))
 

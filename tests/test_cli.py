@@ -581,6 +581,22 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {schema}:2: ")
 
+    def test_embed_refuses_a_class_embedding_that_overflows(self, experiment, capsys):
+        """Two finite word vectors of 1e308 average to inf: embed exits 1 with
+        one error line naming the output and the class, and writes no file."""
+        tmp, config = experiment
+        splits = (tmp / "splits.txt").read_text()
+        (tmp / "splits.txt").write_text(splits.replace("class00", "class00 big"))
+        words = (tmp / "word_vectors.txt").read_text().splitlines()
+        huge = " ".join(["1e308"] * (len(words[0].split()) - 1))
+        words = [f"class00 {huge}" if w.startswith("class00 ") else w for w in words]
+        (tmp / "word_vectors.txt").write_text("\n".join([*words, f"big {huge}"]) + "\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's mean
+            assert main(["embed", "--config", str(config), "--set", "sources=word"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp / 'embeddings.txt'}: cannot write row 'class00 big': nan or inf"]
+        assert not (tmp / "embeddings.txt").exists()
+
     def test_train_divergence_names_iteration(self, experiment, capsys):
         _, config = experiment
         assert main(["train", "--config", str(config),

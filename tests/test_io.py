@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import tracemalloc
+from io import BytesIO
 from pathlib import Path
 from unittest import mock
 
@@ -102,6 +103,45 @@ class TestFeatures:
         assert (io._row_norms(matrix).tobytes()
                 == np.linalg.norm(matrix, axis=1).tobytes())
 
+    def test_row_norms_over_and_underflow(self):
+        """A finite nonzero row whose squares overflow or underflow gets its
+        largest magnitude times the norm of the row divided by it; a zero
+        row keeps 0, a non-finite row its plain norm, with no warning."""
+        rows = np.array([[1e200, -1e200], [1e-200, 1e-200], [5e-324, 0.0], [3.0, 4.0],
+                         [0.0, -0.0], [np.inf, 1.0], [np.nan, 1.0], [1.7e308, 1.7e308]])
+        norms = io._row_norms(rows)
+        assert norms.tolist()[:5] == [
+            1e200 * np.sqrt(2.0), 1e-200 * np.sqrt(2.0), 5e-324, 5.0, 0.0]
+        assert np.isinf(norms[[5, 7]]).all() and np.isnan(norms[6])
+
+    @pytest.mark.parametrize("values", [(1e200, 1e200), (1e-200, -1e-200),
+                                        (5e-324, 0.0), (1e308, -1e308)])
+    @pytest.mark.parametrize("row_loop", [False, True], ids=["chunks", "row-loop"])
+    def test_l2_normalizes_rows_whose_squares_overflow_or_underflow(
+            self, tmp_path, values, row_loop):
+        p = tmp_path / "f.txt"
+        p.write_text(f"d=2 n=2 normalized=0\na {values[0]!r} {values[1]!r}\nb 3.0 4.0\n")
+        with (mock.patch.object(io, "_convert_body", lambda *args: None) if row_loop
+              else contextlib.nullcontext()):
+            fs = io.load_features(p, l2_normalize=True)
+        row, m = np.array(values), max(map(abs, values))
+        assert fs.matrix.tobytes() == np.array(
+            [row / (m * np.linalg.norm(row / m)), [0.6, 0.8]]).tobytes()
+        assert np.allclose(np.linalg.norm(fs.matrix, axis=1), 1.0)
+
+    @pytest.mark.parametrize("normalized, message", [
+        (0, "row 'b' has a norm too large for a float"),
+        (1, f"row 'b' declared normalized but has norm {np.float64(np.inf)!r}")])
+    @pytest.mark.parametrize("row_loop", [False, True], ids=["chunks", "row-loop"])
+    def test_norm_too_large_for_a_float_refused_at_its_line(
+            self, tmp_path, normalized, message, row_loop):
+        p = tmp_path / "f.txt"
+        p.write_text(f"d=2 n=2 normalized={normalized}\na 0.6 0.8\nb 1.7e308 -1.7e308\n")
+        with (mock.patch.object(io, "_convert_body", lambda *args: None) if row_loop
+              else contextlib.nullcontext()), pytest.raises(ParseError) as exc:
+            io.load_features(p, l2_normalize=True)
+        assert exc.value.line == 3 and str(exc.value).endswith(message)
+
     def test_normalized_check_names_row_past_first_chunk(self, tmp_path):
         rows = np.random.default_rng(9).normal(size=(300, 4))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -143,6 +183,22 @@ class TestNonFiniteValues:
         with pytest.raises(ParseError, match="non-finite") as exc:
             io.load_class_embeddings(p)
         assert (exc.value.path, exc.value.line) == (str(p), 5)
+
+    @pytest.mark.parametrize("save, value, label", [
+        (io.save_features,
+         io.FeatureSet(("a", "b"), np.array([[1.0, 2.0], [np.nan, 1.0]]), False), "b"),
+        (io.save_word_vectors,
+         WordVectorTable(2, {"oak": [1.0, 2.0], "fir": [np.inf, 1.0]}), "fir"),
+        (io.save_class_embeddings,
+         ClassEmbeddingSet(("A", "B"), np.array([[1.0, 2.0], [2.0, -np.inf]]),
+                           (("word", 0, 2),)), "B"),
+    ], ids=["features", "word_vectors", "class_embeddings"])
+    def test_savers_refuse_before_opening(self, tmp_path, save, value, label):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ZslError) as exc:
+            save(path, value)
+        assert str(exc.value) == f"{path}: cannot write row {label!r}: nan or inf"
+        assert not path.exists()
 
 
 class TestLabelsAndSplits:
@@ -736,9 +792,9 @@ def refuse_row_loop(*args):
 
 @contextlib.contextmanager
 def forced_parts(parts):
-    """Every row load in the block cuts its file into `parts` parts, whatever
-    the file size and the CPUs this process may use; children are not pinned.
-    Yields the list of the pids of the children forked."""
+    """Every row load or save in the block cuts its file or rows into `parts`
+    parts, whatever the size and the CPUs this process may use; children are
+    not pinned. Yields the list of the pids of the children forked."""
     forks = []
     fork = os.fork
 
@@ -747,6 +803,7 @@ def forced_parts(parts):
         return forks[-1]
 
     with mock.patch.object(io, "_MIN_PART_BYTES", 1), \
+            mock.patch.object(io, "_MIN_PART_VALUES", 1), \
             mock.patch.object(os, "fork", spy), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(parts))), \
             mock.patch.object(os, "sched_setaffinity", lambda pid, cpus: None):
@@ -996,3 +1053,139 @@ class TestPartedConversion:
             rows = sent.read()
         assert (shape, lines, line_of) == ((2, 2), 3, {"t2": 2, "t3": 3})
         assert rows == np.array([[5.5, 6.5], [7.5, 8.5]]).tobytes()
+
+
+def serial_text(header, labels, rows, sep=" "):
+    """The bytes of the serial writer: the lines joined by newlines, and one
+    newline more."""
+    return ("\n".join([*header, *(label + sep + " ".join(map(repr, row.tolist()))
+                                  for label, row in zip(labels, rows))]) + "\n").encode()
+
+
+# Labels in any script (no surrogates, which UTF-8 cannot encode) and float64
+# values in every magnitude, the edge spellings among them.
+LABEL = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+FLOAT64 = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 2.0 ** -1022])
+
+
+@st.composite
+def saved_rows(draw):
+    """A saver, its argument, and the header, labels and rows it writes."""
+    width = draw(st.integers(1, 4))
+    labels = draw(st.lists(LABEL, max_size=9, unique=True))
+    rows = np.array(draw(st.lists(st.lists(FLOAT64, min_size=width, max_size=width),
+                                  min_size=len(labels), max_size=len(labels))),
+                    dtype=np.float64).reshape(len(labels), width)
+    kind = draw(st.sampled_from(["features", "word_vectors", "class_embeddings"]))
+    if kind == "features":
+        normalized = draw(st.booleans())
+        return (io.save_features, io.FeatureSet(tuple(labels), rows, normalized),
+                [f"d={width} n={len(labels)} normalized={int(normalized)}"], labels,
+                rows, " ")
+    if kind == "word_vectors":
+        return (io.save_word_vectors, WordVectorTable(width, dict(zip(labels, rows))),
+                [], labels, rows, " ")
+    return (io.save_class_embeddings,
+            ClassEmbeddingSet(labels, rows, (("word", 0, width),)),
+            [f"m={width} n={len(labels)}", f"blocks=word:0:{width}"], labels, rows, "\t")
+
+
+class TestPartedWriter:
+    """Rows formatted in parts at once, the later ones in forked children,
+    give the bytes the serial writer gives, and the file is opened only once
+    every part is formatted."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(saved=saved_rows(), parts=st.sampled_from([2, 3, 4]))
+    @example(saved=(io.save_word_vectors, WordVectorTable(2, {}), [], [],
+                    np.empty((0, 2)), " "), parts=2)
+    @example(saved=(io.save_features,
+                    io.FeatureSet(("é", "١"), np.array([[-0.0, 5e-324], [1e308, 1.5]]),
+                                  False),
+                    ["d=2 n=2 normalized=0"], ["é", "١"],
+                    np.array([[-0.0, 5e-324], [1e308, 1.5]]), " "), parts=4)
+    def test_same_bytes_as_serial(self, saved, parts, fuzz_dir):
+        save, value, header, labels, rows, sep = saved
+        path = fuzz_dir / "written.txt"
+        save(path, value)
+        serial = path.read_bytes()
+        with forced_parts(parts) as forks:
+            save(path, value)
+        assert path.read_bytes() == serial == serial_text(header, labels, rows, sep)
+        assert len(forks) == min(parts, rows.size) - 1 if rows.size else not forks
+        no_child_left()
+
+    @pytest.mark.parametrize("sent", [0, 3, 8, 20])
+    def test_part_sent_short_is_formatted_here(self, tmp_path, monkeypatch, sent):
+        """A child that sends none, part or all of its length, or its length
+        and part of its text, still leaves the file the serial writer
+        writes, and is reaped."""
+        forked = io._forked
+
+        def short(parts, send):
+            def send_short(out, k, n):
+                buffer = BytesIO()
+                send(buffer, k, n)
+                out.write(buffer.getvalue()[:sent])
+
+            return forked(parts, send_short)
+
+        table = WordVectorTable(2, {f"t{k}": np.array([k, -k / 3]) for k in range(8)})
+        io.save_word_vectors(tmp_path / "serial.txt", table)
+        monkeypatch.setattr(io, "_forked", short)
+        with forced_parts(3) as forks:
+            io.save_word_vectors(tmp_path / "w.txt", table)
+        assert len(forks) == 2
+        assert (tmp_path / "w.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        no_child_left()
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("bad", [0, 3], ids=["parent-part", "child-part"])
+    def test_raise_leaves_the_file_unchanged(self, tmp_path, parts, bad):
+        """A label UTF-8 cannot encode raises where its part is formatted: in
+        this process, or in a child, which then sends nothing, and again here
+        when this process formats the part itself. The file keeps its bytes."""
+        path = tmp_path / "w.txt"
+        path.write_bytes(b"old\n")
+        labels = [f"t{k}" for k in range(4)]
+        labels[bad] = "\udcff"
+        table = WordVectorTable(1, {label: np.array([1.0]) for label in labels})
+        with forced_parts(parts) if parts > 1 else contextlib.nullcontext(), \
+                pytest.raises(UnicodeEncodeError):
+            io.save_word_vectors(path, table)
+        assert path.read_bytes() == b"old\n"
+        no_child_left()
+
+    def test_child_side_in_process(self, tmp_path):
+        """What a forked child runs, run in this process: it pins itself to
+        its CPU, writes its part's length and text, then exits with status
+        0, and never opens the file."""
+        class Exited(Exception):
+            pass
+
+        def exit_(status):
+            raise Exited(status)
+
+        kept, pinned = [], []
+        pipe = os.pipe
+
+        def kept_pipe():
+            r, w = pipe()
+            kept.append(os.dup(r))  # the child closes its read end
+            return r, w
+
+        path = tmp_path / "w.txt"
+        table = WordVectorTable(2, {"t0": np.array([1.5, 2.5]), "t1": np.array([3.5, -0.0])})
+        with forced_parts(2), mock.patch.object(os, "pipe", kept_pipe), \
+                mock.patch.object(os, "fork", lambda: 0), \
+                mock.patch.object(os, "_exit", exit_), \
+                mock.patch.object(os, "sched_setaffinity",
+                                  lambda pid, cpus: pinned.append((pid, cpus))):
+            with pytest.raises(Exited) as exc:
+                io.save_word_vectors(path, table)
+        assert exc.value.args == (0,) and pinned == [(0, {1})]
+        text = b"t1 3.5 -0.0\n"
+        with open(kept[0], "rb") as sent:
+            assert sent.read() == len(text).to_bytes(8, "little") + text
+        assert not path.exists()
