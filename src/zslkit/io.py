@@ -5,9 +5,12 @@ diff cleanly; only model checkpoints use a compact binary layout. Only the
 newline character ends a line, and a carriage return before it is stripped;
 other line-break characters are whitespace within a line. Text files are read
 one line at a time, and a load reports the first fault in reading order. A
-numeric body is converted and checked 256 lines at a time, and a load may keep
-only the rows of some labels, though it reads and checks every row. A large
-body is read, or written, in parts, one per CPU, with the same result. Formats:
+numeric body is converted and checked 256 lines at a time by numpy's C text
+reader; a chunk it refuses is read again by a second reader that only moves
+forward, and converted line by line with float(), so a process reads no
+byte more than twice. A load may keep only the rows of some labels, though it
+reads and checks every row. A large body is read, or written, in parts, one
+per CPU, with the same result. Formats:
 
   features     header `d=<int> n=<int> normalized=<0|1>`, then `id v1 ... vd`
   labels       `id<TAB>class_label`
@@ -76,17 +79,16 @@ def _fmt_layout(layout) -> str:
     return ";".join(f"{tag}:{off}:{ln}" for tag, off, ln in layout)
 
 
-def _text_lines(path, start: int = 0, stop: float = float("inf")):
+def _text_lines(path, start: int = 0, stop: float = float("inf"), no: int = 0):
     """Yield (1-based line number, stripped line) for each non-blank line of
     a UTF-8 text file, read one line at a time: a load holds one line, not the
     file. Lines end at b"\\n", which no multibyte UTF-8 sequence contains. A
     byte that is not UTF-8 raises ParseError when its line is reached. Reads
-    bytes [start, stop), whose ends are line starts, and returns the count of
-    lines read; line numbers count from `start`."""
-    no = 0
+    bytes [start, stop), whose ends are line starts, numbering the lines
+    there after `no`, and returns the number of the last line read."""
     with open(path, "rb") as f:
         f.seek(start)
-        for no, raw in enumerate(f, start=1):
+        for no, raw in enumerate(f, start=no + 1):
             start += len(raw)
             if start > stop:
                 return no - 1
@@ -150,220 +152,233 @@ def _header(path, line, usage: str) -> dict[str, int]:
     return out
 
 
-@dataclass(frozen=True)
-class _Keep:
-    """The rows a numeric load keeps, and the checks on every row's values
-    beyond finiteness: under `unit` its norm lies within 1e-9 of 1; under `l2`
-    it is neither zero nor infinite, and the kept rows are divided by it."""
+@dataclass
+class _Rows:
+    """A numeric body as it is converted and checked, _CHUNK_ROWS lines at a
+    time: every label's line number, in file order; the kept rows, in a matrix
+    grown in place, so that neither a header's row count nor the rows dropped
+    are ever an allocation size; and under `l2` the labels of zero rows."""
 
+    path: str | os.PathLike
+    skip: int  # header lines still to pass
+    width: int | None  # None: the first row's
+    kind: str
+    sep: str | None = None  # None: whitespace
     ids: Container[str] | None = None  # labels of the rows kept; None keeps all
-    unit: bool = False
-    l2: bool = False
+    unit: bool = False  # each row's norm must lie within 1e-9 of 1
+    l2: bool = False  # each row's norm must be finite; kept rows are divided by it
 
-    def select(self, labels, rows):
-        """The kept rows of a chunk converted from the lines of `labels`, or
-        None if a row fails a check; the row loop then names it."""
-        norms = _row_norms(rows) if self.unit or self.l2 else np.ones(len(rows))
-        if not (np.isfinite(rows).all()
-                and np.all(np.abs(norms - 1.0) <= 1e-9 if self.unit
-                           else (0.0 < norms) & (norms < np.inf))):
-            return None
-        if self.ids is not None:
-            kept = [label in self.ids for label in labels]
-            rows, norms = rows[kept], norms[kept]
-        return rows / norms[:, None] if self.l2 else rows
+    def __post_init__(self):
+        self.line_of, self.zero = {}, []
+        self.matrix = np.empty((0, self.width or 0))
 
+    def read(self, *bounds):
+        """Convert the lines _text_lines(path, *bounds) reads and return the
+        number of the last. A chunk numpy refuses is read again, by a second
+        reader that only moves forward, so no byte is read more than twice,
+        and converted line by line."""
+        counted = []
 
-def _convert_lines(lines, width: int | None, sep: str | None, keep: _Keep):
-    """numpy's C text reader over the rows' value texts, _CHUNK_ROWS lines at
-    a time: (line_of, matrix) when it converts every line left in `lines` to a
-    row of the expected width that passes `keep`'s checks, else None. line_of
-    maps every label to its line number, in file order; the matrix holds the
-    kept rows and grows in place by each chunk's, so neither a header's row
-    count nor the rows dropped are ever an allocation size. Its float
-    conversion gives the bits float() gives, and it splits values on the
-    whitespace str.split() splits on; tokens only float() reads, such as
-    `1_0`, make it raise. Each value text is one row (the reader refuses an
-    embedded carriage return)."""
-    line_of: dict[str, int] = {}  # label -> line number, in file order
-    matrix = np.empty((0, width or 0))
+        def numbered():
+            counted.append((yield from _text_lines(self.path, *bounds)))
 
-    def value_texts(chunk, labels):
-        # A line with no value text (with a tab sep: not exactly one tab) or
-        # a repeated label stops the reader; the row loop then reports it.
-        for no, line in chunk:
-            parts = line.split(sep) if sep else line.split(None, 1)
-            if len(parts) != 2 or parts[0] in line_of:
-                raise ValueError
-            line_of[parts[0]] = no
-            labels.append(parts[0])
-            yield parts[1]
+        lines, again = numbered(), _text_lines(self.path, *bounds)
+        behind = sum(1 for _ in itertools.islice(lines, self.skip))  # lines `again` must pass
+        self.skip -= behind
+        for first in lines:
+            chunk = itertools.chain([first], itertools.islice(lines, _CHUNK_ROWS - 1))
+            if self._convert(chunk):
+                behind += _CHUNK_ROWS
+                continue
+            self._convert_lines(itertools.islice(again, behind, behind + _CHUNK_ROWS))
+            behind = 0
+            for _ in chunk:  # the lines numpy left
+                pass
+        return counted[0]
 
-    for first in lines:
-        chunk = itertools.chain([first], itertools.islice(lines, _CHUNK_ROWS - 1))
-        labels: list[str] = []
-        try:  # a byte that is not UTF-8 raises ParseError, but a row before it
-            # in the chunk may fail a check
-            rows = np.loadtxt(value_texts(chunk, labels), dtype=np.float64,
-                              comments=None, ndmin=2)
+    def _convert(self, chunk) -> bool:
+        """numpy's C text reader over the value texts of `chunk`; False if it
+        refuses one, a row is not of the width or a label repeats. It gives
+        the bits float() gives and splits values on the whitespace str.split()
+        splits on; tokens only float() reads, such as `1_0`, make it raise.
+        Each value text is one row (it refuses an embedded carriage return)."""
+        labels, nos = [], []
+
+        def value_texts():  # a line with no value text stops the reader
+            for no, line in chunk:
+                parts = line.split(self.sep) if self.sep else line.split(None, 1)
+                if len(parts) != 2:
+                    raise ValueError
+                labels.append(parts[0])
+                nos.append(no)
+                yield parts[1]
+
+        try:  # a byte that is not UTF-8 raises ParseError, but a line before
+            # it in the chunk may hold the first fault
+            rows = np.loadtxt(value_texts(), dtype=np.float64, comments=None, ndmin=2)
         except (ValueError, ParseError):
+            return False
+        width = self.width or rows.shape[1]
+        if (rows.shape != (len(labels), width) or len(set(labels)) < len(labels)
+                or not self.line_of.keys().isdisjoint(labels)):
+            return False
+        self.width = width
+        self._add(labels, nos, rows)
+        return True
+
+    def _convert_lines(self, lines) -> None:
+        """float() over the values of each line, raising ParseError at the
+        first line that breaks the format or whose row fails a check. A row's
+        width is checked before its values are held, so a header cannot ask
+        for more memory than the file holds."""
+        for no, line in lines:
+            parts = line.split(self.sep) if self.sep else line.split(None, 1)
+            label, values = parts[0], "".join(parts[1:]).split()
+            if self.sep and len(parts) != 2:
+                raise ParseError(self.path, no, f"expected '{self.kind}<TAB>v1 v2 ...'")
+            self.width = self.width or len(values) or 1  # a label alone is a short row
+            if len(values) != self.width:
+                raise ParseError(self.path, no, f"expected {self.kind} plus "
+                                                f"{self.width} value(s), got {len(values)}")
+            if label in self.line_of:
+                raise ParseError(self.path, no, f"duplicate {self.kind} {label!r}")
+            try:
+                row = np.array([[float(v) for v in values]])
+            except ValueError:
+                raise ParseError(self.path, no,
+                                 f"non-numeric value in {self.kind} row") from None
+            self._add([label], [no], row)
+
+    def _add(self, labels, nos, rows) -> None:
+        """Check the rows converted from the lines `nos`: every value finite,
+        and each norm within 1e-9 of 1 under `unit` and finite under `l2`.
+        Raise ParseError at the first row that fails, else note every label's
+        line and zero rows, and append the rows of `ids`, divided by their
+        norms under `l2`."""
+        norms = _row_norms(rows) if self.unit or self.l2 else np.ones(len(rows))
+        finite = np.isfinite(rows).all(axis=1)
+        if not (ok := finite & (np.abs(norms - 1.0) <= 1e-9 if self.unit
+                                else norms < np.inf)).all():
+            i = ok.argmin()
+            raise ParseError(self.path, nos[i], (
+                "non-finite value (nan or inf)" if not finite[i]
+                else f"row {labels[i]!r} declared normalized but has norm {norms[i]!r}"
+                if self.unit else f"row {labels[i]!r} has a norm too large for a float"))
+        self.line_of.update(zip(labels, nos))
+        self.zero += [labels[i] for i in np.flatnonzero(norms == 0.0)]  # under l2 only
+        kept = (norms > 0.0) & [self.ids is None or label in self.ids for label in labels]
+        if not kept.all():
+            rows, norms = rows[kept], norms[kept]
+        start = len(self.matrix)
+        self.matrix.resize((start + len(rows), self.width), refcheck=False)
+        self.matrix[start:] = rows / norms[:, None] if self.l2 else rows
+
+    def receive(self, part, base: int):
+        """Take in the rows a child sent, their line numbers counted after
+        `base`, and return the count of lines of its part; None if the child
+        sent nothing or short, or its rows repeat a label or differ in width."""
+        try:
+            (rows, cols), count, line_of = pickle.load(part)
+        except (EOFError, pickle.UnpicklingError):  # the child sent nothing
             return None
-        width = width or rows.shape[1]
-        if (rows.shape != (len(labels), width)
-                or (rows := keep.select(labels, rows)) is None):
+        start, self.width = len(self.matrix), self.width or cols
+        if rows and cols != self.width or not self.line_of.keys().isdisjoint(line_of):
             return None
-        start = len(matrix)
-        matrix.resize((start + len(rows), width), refcheck=False)
-        matrix[start:] = rows
-    return line_of, matrix
-
-
-def _convert_part(path, k: int, n: int, skip: int, width: int | None, sep,
-                  keep: _Keep):
-    """_convert_lines over part k of n, from the first line at or after byte
-    k * size // n, but its first `skip`: (line_of from there, matrix, lines)."""
-    size, counted = os.path.getsize(path), []
-    with open(path, "rb") as f:
-        start, stop = (f.seek(j * size // n - 1) + len(f.readline()) if 0 < j < n
-                       else j // n * size for j in (k, k + 1))
-
-    def lines():
-        counted.append((yield from _text_lines(path, start, stop)))
-
-    converted = _convert_lines(itertools.islice(lines(), skip, None), width, sep, keep)
-    return converted and (*converted, counted[0])
+        # grown in place and read into: never a second full-size matrix
+        self.matrix.resize((start + rows, self.width), refcheck=False)
+        if part.readinto(self.matrix[start:]) < self.matrix[start:].nbytes:
+            self.matrix.resize((start, self.width), refcheck=False)
+            return None
+        self.line_of.update((label, base + no) for label, no in line_of.items())
+        return count
 
 
 @contextlib.contextmanager
 def _forked(parts: int, send):
     """Yields n, the allowed CPUs up to `parts` (1 unless fork works and no
     other thread runs), and a pipe from each child k = 1 .. n-1, pinned to its
-    own CPU, that runs send(pipe, k, n). On leaving, all are killed and reaped."""
+    own CPU, that runs send(pipe, k, n). If a pipe or a process cannot be made,
+    the children made are killed and reaped and n is 1. On leaving, all are
+    killed and reaped."""
     cpus = (sorted(os.sched_getaffinity(0))[:parts]
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1 else [])
     children = []
-    try:
-        for k in range(1, len(cpus)):
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:
-                    os.close(r)
-                    os.sched_setaffinity(0, {cpus[k]})
-                    with open(w, "wb") as out:
-                        send(out, k, len(cpus))
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, open(r, "rb")))
-        yield max(len(cpus), 1), [part for _, part in children]
-    finally:
+
+    def reap():
         for pid, part in children:
             part.close()
             os.kill(pid, 9)  # SIGKILL; importing signal would add 0.1-0.2 MB of RSS
             os.waitpid(pid, 0)
+        children.clear()
 
-
-def _convert_body(path, skip: int, width: int | None, sep: str | None, keep: _Keep):
-    """The fast path of _read_rows: _convert_lines over the lines after the
-    first `skip`, in _forked parts of _MIN_PART_BYTES; a child sends the kept
-    rows' shape, its line count, every label and the rows, or nothing if
-    refused. None if a part is refused, repeats a label or differs in width."""
-    def send(out, k, n):
-        if converted := _convert_part(path, k, n, 0, width, sep, keep):
-            line_of, matrix, count = converted
-            pickle.dump((matrix.shape, count, line_of), out)
-            out.write(matrix)
-
-    with _forked(os.path.getsize(path) // _MIN_PART_BYTES, send) as (n, parts):
-        if n == 1:
-            return _convert_lines(itertools.islice(_text_lines(path), skip, None),
-                                  width, sep, keep)
-        if not (converted := _convert_part(path, 0, n, skip, width, sep, keep)):
-            return None
-        line_of, matrix, offset = converted
-        for part in parts:
-            try:
-                (rows, cols), count, part_of = pickle.load(part)
-            except (EOFError, pickle.UnpicklingError):  # the child sent nothing
-                return None
-            if rows and cols != matrix.shape[1] or not line_of.keys().isdisjoint(part_of):
-                return None
-            start = len(matrix)  # grown in place: never a second full-size matrix
-            matrix.resize((start + rows, matrix.shape[1]), refcheck=False)
-            if part.readinto(matrix[start:]) < matrix[start:].nbytes:
-                return None
-            line_of.update((label, no + offset) for label, no in part_of.items())
-            offset += count
-        return line_of, matrix
-
-
-def _read_rows_loop(path, skip: int, width: int | None, kind: str, sep: str | None,
-                    keep: _Keep, zero: list):
-    """Row by row, the same conversion as _convert_body over the lines after
-    the first `skip`, read again from the file, raising ParseError at the
-    first line that breaks the format or fails a check. Each row's width is
-    checked before its values are kept, so a header cannot ask for more
-    memory than the file holds. Under `l2`, the labels of zero rows go to
-    `zero`, for _read_rows to report once the rows are counted."""
-    line_of: dict[str, int] = {}  # label -> line number, in file order
-    rows: list[np.ndarray] = []
-    for no, line in itertools.islice(_text_lines(path), skip, None):
-        if sep is None:
-            label, *values = line.split()
-        else:
-            parts = line.split(sep)
-            if len(parts) != 2:
-                raise ParseError(path, no, f"expected '{kind}<TAB>v1 v2 ...'")
-            label, values = parts[0], parts[1].split()
-        if width is None:
-            width = len(values) or 1  # a label alone is a short row
-        if len(values) != width:
-            raise ParseError(path, no, f"expected {kind} plus {width} value(s), "
-                                       f"got {len(values)}")
-        if label in line_of:
-            raise ParseError(path, no, f"duplicate {kind} {label!r}")
-        line_of[label] = no
+    try:
         try:
-            row = np.array([[float(v) for v in values]])
-        except ValueError:
-            raise ParseError(path, no, f"non-numeric value in {kind} row") from None
-        if not np.isfinite(row).all():
-            raise ParseError(path, no, "non-finite value (nan or inf)")
-        norm = _row_norms(row) if keep.unit or keep.l2 else None
-        if keep.unit and abs(norm[0] - 1.0) > 1e-9:
-            raise ParseError(path, no, f"row {label!r} declared normalized but has "
-                                       f"norm {norm[0]!r}")
-        if keep.l2 and norm[0] == np.inf:
-            raise ParseError(path, no, f"row {label!r} has a norm too large for a float")
-        if keep.l2 and norm[0] == 0.0:
-            zero.append(label)
-        elif keep.ids is None or label in keep.ids:
-            rows.append(row / norm[:, None] if keep.l2 else row)
-    return line_of, np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
+            for k in range(1, len(cpus)):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    try:
+                        os.close(r)
+                        os.sched_setaffinity(0, {cpus[k]})
+                        with open(w, "wb") as out:
+                            send(out, k, len(cpus))
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                children.append((pid, open(r, "rb")))
+        except OSError:  # out of processes or open files: the work is done here
+            reap()
+            cpus = []
+        yield max(len(cpus), 1), [part for _, part in children]
+    finally:
+        reap()
 
 
 def _read_rows(path, skip: int, width: int | None, kind: str,
-               sep: str | None = None, declared: tuple[int, int] | None = None,
-               keep: _Keep = _Keep()):
+               sep: str | None = None, declared: tuple[int, int] | None = None, **keep):
     """Parse the `label<sep>v1 ... vN` lines of a file after the first `skip`
-    into every label, an (n, N) float64 matrix of the rows `keep` keeps and
-    every label's line number. N is `width`, or the first row's length when
-    `width` is None. A clean body is converted by numpy's text reader as it
-    is read; any other body is read again by the row loop, which names the
-    first bad line. Labels must be unique and values finite and pass `keep`'s
-    checks; then the (line, n) of a header, if `declared`, must count the
-    rows, and under `l2` no row may be zero."""
-    zero: list[str] = []
-    line_of, matrix = (_convert_body(path, skip, width, sep, keep)
-                       or _read_rows_loop(path, skip, width, kind, sep, keep, zero))
-    if declared is not None and declared[1] != len(line_of):
+    into every label, an (n, N) float64 matrix of the rows kept under `keep`
+    (the `ids`, `unit` and `l2` of _Rows) and every label's line number, raising ParseError at the first fault in
+    reading order. N is `width`, or the first row's length when `width` is
+    None. Then the (line, n) of a header, if `declared`, must count the rows,
+    and under `l2` no row may be zero. A child converts each _forked part of
+    _MIN_PART_BYTES after the first and sends the kept rows' shape, its line
+    count, every label and the rows, or nothing if it meets a fault or a zero
+    row: this process then converts the rest of the file itself, from that
+    part on. Each process reads no byte of its parts more than twice."""
+    body, size = _Rows(path, skip, width, kind, sep, **keep), os.path.getsize(path)
+
+    def start(k, n):  # the first line start at or after byte k * size // n, k >= 1
+        with open(path, "rb") as f:
+            return f.seek(k * size // n - 1) + len(f.readline())
+
+    def send(out, k, n):  # forked before this process reads: `body` is empty
+        body.skip = 0  # a header line in a later part is a fault there
+        count = body.read(start(k, n), start(k + 1, n))
+        if not body.zero:
+            pickle.dump((body.matrix.shape, count, body.line_of), out)
+            out.write(body.matrix)
+
+    with _forked(size // _MIN_PART_BYTES, send) as (n, parts):
+        offset = body.read(*((0, start(1, n)) if n > 1 else ()))
+        for k, part in enumerate(parts, start=1):
+            if (count := body.receive(part, offset)) is None:
+                body.read(start(k, n), size, offset)
+                break
+            offset += count
+    if declared is not None and declared[1] != len(body.line_of):
         raise ParseError(path, declared[0], f"header declares n={declared[1]} but "
-                                            f"file has {len(line_of)} rows")
-    if zero:
+                                            f"file has {len(body.line_of)} rows")
+    if body.zero:
         raise DegenerateFeatureError(
-            f"cannot length-normalize zero feature vector ({zero[0]})")
-    return tuple(line_of), matrix, list(line_of.values())
+            f"cannot length-normalize zero feature vector ({body.zero[0]})")
+    return tuple(body.line_of), body.matrix, list(body.line_of.values())
 
 
 def _write_rows(path, header, labels, rows, sep: str = " ") -> None:
@@ -420,15 +435,11 @@ class FeatureSet:
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """`np.linalg.norm(matrix, axis=1)`, taken _CHUNK_ROWS rows at a time so
-    that the squared entries never fill a temporary as large as the matrix.
-    Each row's norm is reduced on its own, so the values are the same bits;
-    one that over- or underflows is m * norm(row / m), m = max |row| > 0."""
-    norms = np.empty(len(matrix))
+    """`np.linalg.norm(matrix, axis=1)` of a chunk of rows, whose squared
+    entries fill a temporary no larger than it; a norm that over- or
+    underflows is m * norm(row / m), m = max |row| > 0."""
     with np.errstate(over="ignore"):
-        for start in range(0, len(matrix), _CHUNK_ROWS):
-            norms[start:start + _CHUNK_ROWS] = np.linalg.norm(
-                matrix[start:start + _CHUNK_ROWS], axis=1)
+        norms = np.linalg.norm(matrix, axis=1)
         for i in np.flatnonzero(np.isinf(norms) | (norms == 0.0)):
             if 0.0 < (m := np.abs(matrix[i]).max()) < np.inf:
                 norms[i] = m * np.linalg.norm(matrix[i] / m)
@@ -447,8 +458,8 @@ def load_features(path, l2_normalize: bool = False,
     header = _header(path, first, "d=<int> n=<int> normalized=<0|1>")
     normalized = header["normalized"] == 1
     ids, rows, _ = _read_rows(path, 1, header["d"], "instance id",
-                              declared=(first[0], header["n"]),
-                              keep=_Keep(keep, normalized, l2_normalize))
+                              declared=(first[0], header["n"]), ids=keep,
+                              unit=normalized, l2=l2_normalize)
     return FeatureSet(ids if keep is None else tuple(i for i in ids if i in keep),
                       rows, normalized or l2_normalize, ids)
 

@@ -121,7 +121,7 @@ class TestFeatures:
             self, tmp_path, values, row_loop):
         p = tmp_path / "f.txt"
         p.write_text(f"d=2 n=2 normalized=0\na {values[0]!r} {values[1]!r}\nb 3.0 4.0\n")
-        with (mock.patch.object(io, "_convert_body", lambda *args: None) if row_loop
+        with (mock.patch.object(io.np, "loadtxt", refuse_chunk) if row_loop
               else contextlib.nullcontext()):
             fs = io.load_features(p, l2_normalize=True)
         row, m = np.array(values), max(map(abs, values))
@@ -137,7 +137,7 @@ class TestFeatures:
             self, tmp_path, normalized, message, row_loop):
         p = tmp_path / "f.txt"
         p.write_text(f"d=2 n=2 normalized={normalized}\na 0.6 0.8\nb 1.7e308 -1.7e308\n")
-        with (mock.patch.object(io, "_convert_body", lambda *args: None) if row_loop
+        with (mock.patch.object(io.np, "loadtxt", refuse_chunk) if row_loop
               else contextlib.nullcontext()), pytest.raises(ParseError) as exc:
             io.load_features(p, l2_normalize=True)
         assert exc.value.line == 3 and str(exc.value).endswith(message)
@@ -556,6 +556,17 @@ def outcome(loader, path):
         return type(exc), getattr(exc, "path", None), getattr(exc, "line", None), str(exc)
 
 
+# Over 4 MiB, so cut into two parts wherever two CPUs are allowed: row `a`
+# comes again three quarters in, in the second part, before a row that
+# part's child refuses.
+WIDE_ROW = " ".join(["0.5"] * 64)
+REPEATED_LINE = 2 + 13500 + 1
+REPEATED_ACROSS_PARTS = "".join(
+    ["d=64 n=18003 normalized=0\n", f"a {WIDE_ROW}\n",
+     *(f"r{k} {WIDE_ROW}\n" for k in range(13500)), f"a {WIDE_ROW}\n", "b x\n",
+     *(f"s{k} {WIDE_ROW}\n" for k in range(4500))]).encode()
+
+
 class TestStreamedLoaders:
     """Every text loader reads one line at a time and gives what it gives on
     the file decoded whole first: the same value, or the same error at the
@@ -568,8 +579,8 @@ class TestStreamedLoaders:
     # every loader refuses line 1 or 2, and reports it before the bad byte
     # on line 5
     @example(data=b"d=1 n=3 normalized=0\tA\nA\nb 1.0\n\n\xff 1.0\n")
-    # the numeric reader meets the bad byte on line 3 and hands the body to
-    # the row loop, which reports it
+    # numpy's reader meets the bad byte on line 3 and hands its chunk to the
+    # line-by-line conversion, which reports it
     @example(data=b"d=1 n=2 normalized=0\na 1.0\n\xff 2.0\n")
     def test_same_as_whole_file_reader(self, loader, data, fuzz_dir):
         path = fuzz_dir / f"oracle_{loader.__name__}.txt"
@@ -592,9 +603,13 @@ class TestStreamedLoaders:
          2, "non-finite value (nan or inf)"),
         (io.load_features, b"d=2 n=2 normalized=1\na 3.0 4.0\nb 1.0\n",
          2, f"row 'a' declared normalized but has norm {np.float64(5.0)!r}"),
+        (io.load_features, b"d=2 n=3 normalized=0\na 1_0 1.0\nb nan 1.0\nc 1.0\n",
+         3, "non-finite value (nan or inf)"),
+        (io.load_features, REPEATED_ACROSS_PARTS, REPEATED_LINE, "duplicate instance id 'a'"),
     ], ids=["bad-row-before-bad-byte", "bad-pair-before-bad-byte",
             "bad-row-and-wrong-n", "repeated-class-and-wrong-n", "wrong-n-clean-body",
-            "nan-before-short-row", "norm-before-short-row"])
+            "nan-before-short-row", "norm-before-short-row", "float-only-before-nan",
+            "repeated-across-parts-before-bad-row"])
     def test_first_fault_in_reading_order(self, tmp_path, loader, data, line, message):
         """The earlier of two faults is reported; a header's wrong row count
         only when the rows after it parse."""
@@ -632,7 +647,7 @@ class TestLoadMemory:
     def test_features_in_parts(self, tmp_path, monkeypatch):
         """Cut in two, the load still holds one matrix: the first part's rows
         grow in place and the second part's are read into them."""
-        monkeypatch.setattr(io, "_read_rows_loop", refuse_row_loop)
+        monkeypatch.setattr(io, "float", refuse_float, raising=False)
         rng = np.random.default_rng(5)
         path = tmp_path / "f.txt"
         io.save_features(path, io.FeatureSet(tuple(f"i{k}" for k in range(800)),
@@ -640,6 +655,18 @@ class TestLoadMemory:
         with forced_parts(2) as forks:
             features, peak = traced_peak(io.load_features, path)
         assert len(forks) == 1
+        assert peak <= features.matrix.nbytes + path.stat().st_size // 5
+
+    def test_features_with_a_token_only_float_reads(self, tmp_path):
+        """A chunk numpy refuses is converted line by line in place of it:
+        the load still holds one matrix and about one chunk."""
+        rows = np.random.default_rng(5).normal(size=(800, 300))
+        rows[700, 0] = 0.123456789
+        path = tmp_path / "f.txt"
+        io.save_features(path, io.FeatureSet(tuple(f"i{k}" for k in range(800)), rows, False))
+        path.write_text(path.read_text().replace(" 0.123456789 ", " 0.12_3456789 ", 1))
+        features, peak = traced_peak(io.load_features, path)
+        assert features.matrix.tobytes() == rows.tobytes()
         assert peak <= features.matrix.nbytes + path.stat().st_size // 5
 
     def test_normalized_features(self, tmp_path):
@@ -747,8 +774,9 @@ def loaded_rows(loader, path):
 
 
 class TestRowReaders:
-    """A clean body goes through numpy's C text reader, any other through
-    the row loop; the two give the same result on every input."""
+    """A clean body goes through numpy's C text reader, and a chunk it
+    refuses is converted line by line; converting every chunk line by line
+    gives the same result on every input."""
 
     @pytest.mark.parametrize("loader, sep, header", ROW_FORMATS,
                              ids=["features", "word_vectors", "class_embeddings"])
@@ -766,15 +794,12 @@ class TestRowReaders:
         path = fuzz_dir / "rows.txt"
         path.write_text(header(n, width) + ("\r\n" if crlf else "\n").join(rows) + "\n",
                         encoding="utf-8")
-        with mock.patch.object(io, "_convert_body", lambda *args: None):
+        with mock.patch.object(io.np, "loadtxt", refuse_chunk):
             expected = loaded_rows(loader, path)
         assert loaded_rows(loader, path) == expected
 
     def test_clean_body_skips_the_row_loop(self, tmp_path, monkeypatch):
-        def row_loop(*args):
-            raise AssertionError("the row loop ran on a clean body")
-
-        monkeypatch.setattr(io, "_read_rows_loop", row_loop)
+        monkeypatch.setattr(io, "float", refuse_float, raising=False)
         (tmp_path / "f.txt").write_text("d=2 n=2 normalized=0\na 1.0 -0.0\nb 1e-320 3\n")
         (tmp_path / "w.txt").write_text("oak 1.0 2.0 3.0\nfir\t-0.5  0.25\x0c0.125\n")
         (tmp_path / "e.txt").write_text("m=2 n=1\nblocks=word:0:2\nGreen Ash\t1.0 2.0\n")
@@ -785,9 +810,36 @@ class TestRowReaders:
             -0.5, 0.25, 0.125]
         assert io.load_class_embeddings(tmp_path / "e.txt").class_names == ("Green Ash",)
 
+    @pytest.mark.parametrize("row", [0, 599], ids=["first-row", "last-row"])
+    @pytest.mark.parametrize("token", ["x", "1_0"])
+    def test_bad_row_is_converted_once(self, tmp_path, token, row):
+        """float() converts only the chunk numpy refuses, and numpy goes on
+        after it: with a bad token, or one only float() reads, in the first
+        or the last of 600 rows, at most one chunk's values go through it."""
+        rows = np.random.default_rng(2).normal(size=(600, 3))
+        path = tmp_path / "f.txt"
+        io.save_features(path, io.FeatureSet(tuple(f"i{k}" for k in range(600)), rows, False))
+        lines = path.read_text().splitlines()
+        lines[1 + row] = lines[1 + row].rsplit(" ", 1)[0] + f" {token}"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        with mock.patch.object(io, "float", lambda v: calls.append(v) or float(v),
+                               create=True):
+            if token == "x":
+                with pytest.raises(ParseError, match=f":{row + 2}: non-numeric value"):
+                    io.load_features(path)
+            else:
+                assert io.load_features(path).matrix[row, -1] == 10.0
+        assert 0 < len(calls) <= io._CHUNK_ROWS * 3
 
-def refuse_row_loop(*args):
-    raise AssertionError("the row loop ran on a clean body")
+
+def refuse_chunk(*args, **kwargs):
+    """np.loadtxt refusing every chunk, which is then converted line by line."""
+    raise ValueError
+
+
+def refuse_float(*args):
+    raise AssertionError("a clean body was converted line by line")
 
 
 @contextlib.contextmanager
@@ -902,7 +954,7 @@ class TestKeptRows:
         path = tmp_path / "f.txt"
         io.save_features(path, io.FeatureSet(ids, rows, normalized))
         expected = kept_rows(path, set(ids[1::3]), l2)
-        with mock.patch.object(io, "_convert_body", lambda *args: None):
+        with mock.patch.object(io.np, "loadtxt", refuse_chunk):
             assert kept_rows(path, set(ids[1::3]), l2) == expected
         assert len(expected[1]) == 200
 
@@ -952,7 +1004,7 @@ class TestPartedConversion:
 
     @pytest.mark.parametrize("parts", [2, 3, 4])
     def test_clean_body_skips_the_row_loop(self, tmp_path, monkeypatch, parts):
-        monkeypatch.setattr(io, "_read_rows_loop", refuse_row_loop)
+        monkeypatch.setattr(io, "float", refuse_float, raising=False)
         path = tmp_path / "w.txt"
         table = WordVectorTable(3, {f"t{k}": np.arange(3.0) * k for k in range(40)})
         io.save_word_vectors(path, table)
@@ -966,7 +1018,7 @@ class TestPartedConversion:
     def test_parts_with_no_rows_skip_the_row_loop(self, tmp_path, monkeypatch):
         """Rows longer than a part leave parts with no rows, which convert to
         (0, d), not to a refusal."""
-        monkeypatch.setattr(io, "_read_rows_loop", refuse_row_loop)
+        monkeypatch.setattr(io, "float", refuse_float, raising=False)
         path = tmp_path / "f.txt"
         path.write_text(f"d=3 n=2 normalized=0\na {LONG} {LONG} {LONG}\n"
                         f"b {LONG} {LONG} {LONG}\n")
@@ -981,15 +1033,15 @@ class TestPartedConversion:
     def test_no_child_left(self, tmp_path, monkeypatch, last_value, interrupt, raises):
         """Every child is killed and reaped, whether the load returns, is
         refused or is interrupted while the parent converts its own part."""
-        convert_part = io._convert_part
+        read = io._Rows.read
 
-        def parent_part_interrupted(path, start, *args):
+        def parent_part_interrupted(self, start, *args):
             if start == 0:
                 raise KeyboardInterrupt
-            return convert_part(path, start, *args)
+            return read(self, start, *args)
 
         if interrupt:
-            monkeypatch.setattr(io, "_convert_part", parent_part_interrupted)
+            monkeypatch.setattr(io._Rows, "read", parent_part_interrupted)
         path = tmp_path / "w.txt"
         path.write_text(f"a {LONG}\nb {LONG}\nc {LONG}\nd {last_value}\n")
         with forced_parts(2), (pytest.raises(raises) if raises
@@ -999,26 +1051,65 @@ class TestPartedConversion:
 
     def test_child_dying_mid_rows_falls_back(self, tmp_path, monkeypatch):
         """A child that sends its labels but not all its rows leaves a short
-        read, and the row loop reads the file again."""
-        convert_part = io._convert_part
+        read, and this process converts the child's part itself."""
+        read, parent, reads = io._Rows.read, os.getpid(), []
 
-        def part(path, start, *args):
-            line_of, matrix, lines = convert_part(path, start, *args)
-            return line_of, matrix if start == 0 else np.asfortranarray(matrix), lines
+        def part(self, *bounds):
+            reads.append(bounds)  # seen here only for this process's reads
+            count = read(self, *bounds)
+            if os.getpid() != parent:
+                self.matrix = np.asfortranarray(self.matrix)
+            return count
 
-        monkeypatch.setattr(io, "_convert_part", part)
-        row_loops = []
-        read_rows_loop = io._read_rows_loop
-        monkeypatch.setattr(io, "_read_rows_loop",
-                            lambda *args: row_loops.append(args) or read_rows_loop(*args))
+        monkeypatch.setattr(io._Rows, "read", part)
         path = tmp_path / "w.txt"
         table = WordVectorTable(2, {f"t{k}": np.array([k, -k / 3]) for k in range(8)})
         io.save_word_vectors(path, table)
         with forced_parts(2):
             loaded = io.load_word_vectors(path)
-        assert len(row_loops) == 1
+        assert len(reads) == 2 and reads[0][0] == 0 < reads[1][0]
         assert pickle.dumps(loaded) == pickle.dumps(table)
         no_child_left()
+
+    @pytest.mark.parametrize("parts, call, failing", [
+        (2, "fork", 1), (3, "fork", 1), (3, "fork", 2), (3, "pipe", 2)],
+        ids=["2-first-fork", "3-first-fork", "3-second-fork", "3-second-pipe"])
+    def test_no_process_to_spare_runs_serially(self, tmp_path, parts, call, failing):
+        """When os.fork or os.pipe raises, as fork does with EAGAIN under a
+        process limit, the children already forked are killed and reaped,
+        and the load or save runs here, with the serial result."""
+        rng = np.random.default_rng(3)
+        features = io.FeatureSet(tuple(f"i{k}" for k in range(40)), rng.normal(size=(40, 3)),
+                                 False)
+        table = WordVectorTable(2, {f"t{k}": rng.normal(size=2) for k in range(40)})
+        io.save_features(tmp_path / "serial.txt", features)
+        io.save_word_vectors(tmp_path / "w.txt", table)
+
+        @contextlib.contextmanager
+        def refused():
+            with forced_parts(parts) as forks:
+                made, make = [], getattr(os, call)
+
+                def fails(*args):
+                    made.append(call)
+                    if len(made) == failing:
+                        raise OSError(11, "Resource temporarily unavailable")
+                    return make(*args)
+
+                with mock.patch.object(os, call, fails):
+                    yield
+                assert len(made) == failing and len(forks) == failing - 1
+            no_child_left()
+
+        with refused():
+            loaded = io.load_features(tmp_path / "serial.txt")
+        assert pickle.dumps(loaded) == pickle.dumps(io.load_features(tmp_path / "serial.txt"))
+        with refused():
+            vectors = io.load_word_vectors(tmp_path / "w.txt")
+        assert pickle.dumps(vectors) == pickle.dumps(table)
+        with refused():
+            io.save_features(tmp_path / "f.txt", features)
+        assert (tmp_path / "f.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
 
     def test_child_side_in_process(self, tmp_path):
         """What a forked child runs, run in this process: it pins itself to
