@@ -7,7 +7,10 @@ are deterministic functions of (config, input files, seed).
 
 Commands load their inputs through `_load_dataset`, `_load_embeddings` and
 `_train_config`; `validate` loads through the same functions and reports each
-failure, and each failed cross-check, as one violation.
+failure as one violation. Each rule that spans several files (split overlaps,
+stray labels, splits without classes or instances, classes without an
+embedding, the id join, a zero-shot `eval_split`, the checkpoint) forms its
+messages in one function, so a violation is what a command prints after `error:`.
 
 Exit codes: 0 success, 1 validation or data failure, 2 usage error.
 """
@@ -25,8 +28,9 @@ import numpy as np
 from . import io
 from .embeddings import (SOURCE_ORDER, EmbeddingSources, build_class_embeddings,
                          ordered_sources)
-from .errors import AlignmentError, ConfigError, ZslError
-from .evaluate import SPLIT_NAMES, ablate_embeddings, ablate_linear_terms, evaluate_zsl
+from .errors import AlignmentError, ConfigError, ZslError, refuse
+from .evaluate import (SPLIT_NAMES, ablate_embeddings, ablate_linear_terms,
+                       eval_split_violations, evaluate_zsl)
 from .model import score_matrix
 from .train import TrainConfig, train
 
@@ -152,9 +156,7 @@ def _checkpoint_model(cfg: dict, d: int, embeddings):
     dimension `d` and on embeddings with the same block layout as the ones
     it is about to score."""
     checkpoint = io.load_checkpoint(cfg["checkpoint"])
-    mismatches = _checkpoint_mismatches(cfg, checkpoint, d, embeddings)
-    if mismatches:
-        raise AlignmentError(mismatches[0])
+    refuse(AlignmentError, _checkpoint_mismatches(cfg, checkpoint, d, embeddings))
     return checkpoint.model
 
 
@@ -316,24 +318,24 @@ def validate_experiment(cfg: dict) -> ValidationReport:
                   if "embeddings" in cfg or (splits and settings) else None)
     checkpoint = load_file("checkpoint", io.load_checkpoint)
     attempt("training settings", lambda: _train_config(cfg))
-    for key in _SETTINGS:
-        attempt("settings", lambda: _setting(cfg, key))
+    eval_split = {key: attempt("settings", lambda: _setting(cfg, key))
+                  for key in _SETTINGS}["eval_split"]
 
+    # The rules the commands apply: train fits the seen and validation
+    # splits, and eval and ablate score the eval split.
+    if eval_split is not None:
+        violations.extend(eval_split_violations(eval_split))
     if splits is not None:
+        used = [s for s in SPLIT_NAMES if s in ("seen", "zsl_validation", eval_split)]
         violations.extend(splits.overlap_violations())
-        split_classes = set(splits.all_classes())
         if labels is not None:
-            stray = sorted({c for c in labels.values() if c not in split_classes})
-            violations.extend(f"label class {cls!r} is not in any split" for cls in stray)
-            violations.extend(splits.instance_violations(labels.values()))
+            present = set(labels.values())
+            violations.extend(splits.label_violations(present))
+            violations.extend(splits.instance_violations(present, used))
         if embeddings is not None:
-            violations.extend(f"class {cls!r} in split {name!r} has no embedding"
-                              for name in SPLIT_NAMES for cls in splits.classes(name)
-                              if cls not in embeddings)
+            violations.extend(splits.coverage_violations(embeddings, used))
     if features is not None and labels is not None:
-        missing, extra = io._id_join(features.file_ids, labels)
-        violations.extend(f"feature id {i!r} has no label" for i in missing)
-        violations.extend(f"label id {i!r} has no feature row" for i in extra)
+        violations.extend(io.join_violations(features.file_ids, labels))
     if checkpoint is not None:
         violations.extend(_checkpoint_mismatches(
             cfg, checkpoint, None if features is None else features.d, embeddings))

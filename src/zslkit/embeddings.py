@@ -26,6 +26,7 @@ from .errors import (
     NonLeafError,
     OutOfVocabularyError,
     SchemaMismatchError,
+    ZslError,
 )
 
 SOURCE_ORDER = ("attribute", "taxonomy", "word")
@@ -236,7 +237,8 @@ def encode_words(table: WordVectorTable, common_name: str,
         raise OutOfVocabularyError(
             f"name {common_name!r}: no token found in table, missing {missing}",
             missing)
-    return np.mean([table.vectors[t] for t in found], axis=0)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused by ClassEmbeddingSet
+        return np.mean([table.vectors[t] for t in found], axis=0)
 
 
 @dataclass(frozen=True)
@@ -267,6 +269,9 @@ class ClassEmbeddingSet:
         index = {name: i for i, name in enumerate(self.class_names)}
         if len(index) != len(self.class_names):
             raise IncompleteCoverageError("class names must be unique")
+        if not (finite := np.isfinite(self.matrix).all(axis=1)).all():
+            raise ZslError(f"class {self.class_names[finite.argmin()]!r} has a "
+                           "non-finite embedding (nan or inf)")
         object.__setattr__(self, "_index", index)
 
     @property

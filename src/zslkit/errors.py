@@ -6,6 +6,12 @@ class ZslError(ValueError):
     """Base class for all errors raised by zslkit."""
 
 
+def refuse(error: type[ZslError], violations: list[str]) -> None:
+    """Raise the first of a rule's `violations`, if any, as `error`."""
+    if violations:
+        raise error(violations[0])
+
+
 class ShapeMismatchError(ZslError):
     """Array dimensions disagree with the model or with each other."""
 

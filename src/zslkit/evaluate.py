@@ -22,6 +22,7 @@ from .errors import (
     EmptyClassSetError,
     IncompleteCoverageError,
     SplitViolationError,
+    refuse,
 )
 from .model import CompatModel, score_matrix
 
@@ -69,26 +70,33 @@ class ClassSplits:
 
     def overlap_violations(self) -> list[str]:
         """One message per class appearing in two splits."""
-        out = []
-        for i, a in enumerate(SPLIT_NAMES):
-            for b in SPLIT_NAMES[i + 1:]:
-                for cls in sorted(set(self.classes(a)) & set(self.classes(b))):
-                    out.append(f"class {cls!r} appears in both {a!r} and {b!r}")
-        return out
+        return [f"class {cls!r} appears in both {a!r} and {b!r}"
+                for i, a in enumerate(SPLIT_NAMES) for b in SPLIT_NAMES[i + 1:]
+                for cls in sorted(set(self.classes(a)) & set(self.classes(b)))]
 
-    def instance_violations(self, labels) -> list[str]:
-        """Why training cannot run on instances with these labels: it fits on
-        the seen split's rows and stops early on the validation split's."""
-        present = set(labels)
-        return [message for split, message in (
-                    ("zsl_validation", "split 'zsl_validation' has no instances"),
-                    ("seen", "seen split has no training instances"))
-                if present.isdisjoint(self.classes(split))]
+    def label_violations(self, labels) -> list[str]:
+        """One message per instance label that lies in no split."""
+        return [f"label class {cls!r} is not in any split"
+                for cls in sorted(set(labels).difference(self.all_classes()))]
 
-    def require_disjoint(self) -> None:
-        violations = self.overlap_violations()
-        if violations:
-            raise SplitViolationError("; ".join(violations))
+    def instance_violations(self, present, names) -> list[str]:
+        """Why the splits `names` cannot be fit or scored when only the
+        classes in the set `present` have instances."""
+        return [f"split {name!r} has no classes" if not self.classes(name)
+                else "seen split has no training instances" if name == "seen"
+                else f"split {name!r} has no instances"
+                for name in names if present.isdisjoint(self.classes(name))]
+
+    def coverage_violations(self, embeddings, names) -> list[str]:
+        """One message per class of the splits `names` without an embedding."""
+        return [f"class {cls!r} in split {name!r} has no embedding"
+                for name in names for cls in self.classes(name) if cls not in embeddings]
+
+
+def eval_split_violations(split: str) -> list[str]:
+    """Why `split` cannot be the zero-shot split a model is evaluated on."""
+    return ([] if split in ("zsl_validation", "zsl_test") else
+            [f"eval split must be 'zsl_validation' or 'zsl_test', got {split!r}"])
 
 
 @dataclass(frozen=True)
@@ -100,21 +108,20 @@ class SplitDataset:
     labels: tuple[str, ...]
     splits: ClassSplits
     codes: np.ndarray = field(init=False, repr=False)  # into splits.all_classes()
+    present: frozenset = field(init=False, repr=False)  # the classes of `labels`
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
+        object.__setattr__(self, "present", frozenset(self.labels))
         if not (len(self.ids) == self.features.shape[0] == len(self.labels)):
             raise AlignmentError(
                 f"ids ({len(self.ids)}), feature rows ({self.features.shape[0]}) "
                 f"and labels ({len(self.labels)}) must align")
-        self.splits.require_disjoint()
+        refuse(SplitViolationError, self.splits.overlap_violations()
+               + self.splits.label_violations(self.present))
         index = {c: i for i, c in enumerate(self.splits.all_classes())}
-        stray = sorted({l for l in self.labels if l not in index})
-        if stray:
-            raise SplitViolationError(
-                f"instance label(s) outside every split: {stray}")
         object.__setattr__(self, "codes", np.array(
             [index[l] for l in self.labels], dtype=np.int64))
 
@@ -157,17 +164,17 @@ def normalized_accuracy(predictions: Sequence[str], labels: Sequence[str]) -> Ev
     return EvalResult(mean, per_class, dict(confusion))
 
 
-def _target_rows(dataset: SplitDataset, target_split: str):
-    """The classes, feature rows and class indices of a zero-shot split."""
-    if target_split not in ("zsl_validation", "zsl_test"):
-        raise ConfigError(
-            f"eval split must be 'zsl_validation' or 'zsl_test', got {target_split!r}")
-    classes = dataset.splits.classes(target_split)
-    if not classes:
-        raise EmptyClassSetError(f"split {target_split!r} has no classes")
+def _target_rows(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
+                 target_split: str):
+    """The classes, feature rows and class indices of a zero-shot split
+    with instances and with an embedding for each of its classes."""
+    splits = dataset.splits
+    refuse(ConfigError, eval_split_violations(target_split))
+    classes = splits.classes(target_split)
+    refuse(AlignmentError if classes else EmptyClassSetError,
+           splits.instance_violations(dataset.present, (target_split,)))
+    refuse(IncompleteCoverageError, splits.coverage_violations(embeddings, (target_split,)))
     X, label_idx = dataset.subset(target_split)
-    if len(label_idx) == 0:
-        raise AlignmentError(f"split {target_split!r} has no instances to score")
     return classes, X, label_idx
 
 
@@ -175,11 +182,7 @@ def evaluate_zsl(model: CompatModel, dataset: SplitDataset,
                  embeddings: ClassEmbeddingSet, target_split: str) -> EvalResult:
     """Predict every instance of the target split among that split's classes
     only, then score with normalized accuracy."""
-    classes, X, label_idx = _target_rows(dataset, target_split)
-    missing = [c for c in classes if c not in embeddings]
-    if missing:
-        raise IncompleteCoverageError(
-            f"no embedding for class(es) {missing} in split {target_split!r}")
+    classes, X, label_idx = _target_rows(dataset, embeddings, target_split)
     S = score_matrix(model, X, embeddings.select(classes))
     return normalized_accuracy([classes[i] for i in np.argmax(S, axis=1)],
                                [classes[i] for i in label_idx])
@@ -205,7 +208,7 @@ def _train_and_score(dataset, embeddings, config, eval_split, repeats):
 
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    _target_rows(dataset, eval_split)  # refuse a bad split before training
+    _target_rows(dataset, embeddings, eval_split)  # refuse a bad split before training
     accs = []
     for r in range(repeats):
         cfg = dataclasses.replace(config, seed=config.seed + r)

@@ -56,6 +56,7 @@ from .errors import (
     DegenerateFeatureError,
     ParseError,
     ZslError,
+    refuse,
 )
 from .evaluate import SPLIT_NAMES, ClassSplits, SplitDataset
 from .model import CompatModel
@@ -408,11 +409,11 @@ def _write_rows(path, header, labels, rows, sep: str = " ") -> None:
         f.writelines([(head if head or labels else "\n").encode(), *bodies])
 
 
-def _id_join(feature_ids, labels) -> tuple[list[str], list[str]]:
-    """Feature ids without a label, and label ids without a feature row."""
+def join_violations(feature_ids, labels) -> list[str]:
+    """One message per feature id without a label, then per label id without a row."""
     feature_set = set(feature_ids)
-    return ([i for i in feature_ids if i not in labels],
-            [i for i in labels if i not in feature_set])
+    return ([f"feature id {i!r} has no label" for i in feature_ids if i not in labels]
+            + [f"label id {i!r} has no feature row" for i in labels if i not in feature_set])
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +537,7 @@ def load_dataset(features_path, labels_path, splits_path,
     dropped = {c for s in SPLIT_NAMES if s not in keep_splits for c in splits.classes(s)}
     features = load_features(features_path, l2_normalize=l2_normalize,
                              keep={i for i, c in labels.items() if c not in dropped})
-    missing, extra = _id_join(features.file_ids, labels)
-    if missing:
-        raise AlignmentError(f"feature id(s) without a label: {missing[:5]}")
-    if extra:
-        raise AlignmentError(f"label id(s) without features: {extra[:5]}")
+    refuse(AlignmentError, join_violations(features.file_ids, labels))
     return SplitDataset(features.ids, features.matrix,
                         tuple(labels[i] for i in features.ids), splits)
 

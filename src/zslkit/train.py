@@ -21,6 +21,7 @@ from .errors import (
     DivergenceError,
     IncompleteCoverageError,
     SplitViolationError,
+    refuse,
 )
 from .evaluate import SplitDataset, evaluate_zsl
 from .model import CompatModel, extend_embedding
@@ -142,23 +143,16 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     prediction restricted to the validation classes; the returned model is the
     snapshot at the earliest iteration attaining the best accuracy.
     """
-    empty = dataset.splits.instance_violations(dataset.labels)
-    if empty:
-        raise SplitViolationError(empty[0])
-
-    train_classes = dataset.splits.seen
-    missing = [c for c in train_classes + dataset.splits.zsl_validation
-               if c not in embeddings]
-    if missing:
-        raise IncompleteCoverageError(
-            f"no embedding for class(es) {missing}")
+    splits, fitted = dataset.splits, ("seen", "zsl_validation")
+    refuse(SplitViolationError, splits.instance_violations(dataset.present, fitted))
+    refuse(IncompleteCoverageError, splits.coverage_violations(embeddings, fitted))
 
     X, label_idx = dataset.subset("seen")
 
     d = dataset.d
     m = embeddings.m
     Phi_e = extend_embedding(X)
-    Psi_e = extend_embedding(embeddings.select(train_classes))
+    Psi_e = extend_embedding(embeddings.select(splits.seen))
 
     W_e = init_model(d, m, config.init_scheme, config.seed).W_e
     _zero_frozen_terms(W_e, d, config)

@@ -541,6 +541,45 @@ def validation_rows_removed(tmp):
     return "split 'zsl_validation' has no instances"
 
 
+def zsl_test_rows_removed(tmp):
+    drop_split_rows(tmp, "zsl_test")
+
+
+def empty_test_section(tmp):
+    """The [zsl_test] section emptied, its classes moved to [zsl_validation]."""
+    splits = io.load_splits(tmp / "splits.txt")
+    io.save_splits(tmp / "splits.txt",
+                   ClassSplits(splits.seen, splits.zsl_validation + splits.zsl_test, ()))
+
+
+def shared_seen_class(tmp):
+    splits = io.load_splits(tmp / "splits.txt")
+    io.save_splits(tmp / "splits.txt",
+                   ClassSplits(splits.seen, splits.zsl_validation,
+                               splits.zsl_test + splits.seen[:1]))
+
+
+def embeddings_without(tmp, cls):
+    embeddings = io.load_class_embeddings(tmp / "embeddings.txt")
+    keep = [c for c in embeddings.class_names if c != cls]
+    io.save_class_embeddings(tmp / "embeddings.txt", ClassEmbeddingSet(
+        keep, embeddings.select(keep), embeddings.block_layout))
+
+
+def embeddings_without_validation_class(tmp):
+    embeddings_without(tmp, "class05")
+
+
+def embeddings_without_test_class(tmp):
+    embeddings_without(tmp, "class09")
+    return "'class09'"
+
+
+def feature_id_without_label(tmp):
+    lines = (tmp / "labels.tsv").read_text().split("\n")
+    (tmp / "labels.tsv").write_text("\n".join(lines[1:]))
+
+
 def zero_unnormalized_feature_row(tmp):
     lines = (tmp / "features.txt").read_text().split("\n")
     lines[0] = lines[0].replace("normalized=1", "normalized=0")
@@ -583,7 +622,7 @@ class TestMalformedInputs:
 
     def test_embed_refuses_a_class_embedding_that_overflows(self, experiment, capsys):
         """Two finite word vectors of 1e308 average to inf: embed exits 1 with
-        one error line naming the output and the class, and writes no file."""
+        one error line naming the class, and writes no file."""
         tmp, config = experiment
         splits = (tmp / "splits.txt").read_text()
         (tmp / "splits.txt").write_text(splits.replace("class00", "class00 big"))
@@ -591,11 +630,33 @@ class TestMalformedInputs:
         huge = " ".join(["1e308"] * (len(words[0].split()) - 1))
         words = [f"class00 {huge}" if w.startswith("class00 ") else w for w in words]
         (tmp / "word_vectors.txt").write_text("\n".join([*words, f"big {huge}"]) + "\n")
-        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's mean
-            assert main(["embed", "--config", str(config), "--set", "sources=word"]) == 1
+        assert main(["embed", "--config", str(config), "--set", "sources=word"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {tmp / 'embeddings.txt'}: cannot write row 'class00 big': nan or inf"]
+            "error: class 'class00 big' has a non-finite embedding (nan or inf)"]
         assert not (tmp / "embeddings.txt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "validate"])
+    def test_class_embedding_that_overflows_is_refused(self, experiment, capsys, command):
+        """The inf that two word vectors of 1e308 average to is refused where
+        the class embeddings are built, also for a test class train never
+        scores: each command exits 1 with one line naming the class."""
+        tmp, config = experiment
+        eval_args(tmp, config)  # model.ckpt on disk
+        for name in ("splits.txt", "labels.tsv"):
+            (tmp / name).write_text((tmp / name).read_text().replace("class08", "class08 big"))
+        words = (tmp / "word_vectors.txt").read_text().splitlines()
+        huge = " ".join(["1e308"] * (len(words[0].split()) - 1))
+        words = [f"class08 {huge}" if w.startswith("class08 ") else w for w in words]
+        (tmp / "word_vectors.txt").write_text("\n".join([*words, f"big {huge}"]) + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--set", "sources=word",
+                     "--set", CHECKPOINT]) == 1
+        captured = capsys.readouterr()
+        message = "class 'class08 big' has a non-finite embedding (nan or inf)"
+        if command == "validate":
+            assert (captured.out, captured.err) == (f"embeddings: {message}\n", "")
+        else:
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_train_divergence_names_iteration(self, experiment, capsys):
         _, config = experiment
@@ -624,8 +685,10 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("grid,corrupt,settings", [
         ("embeddings", word_table_without_last_class, []),
-        ("all", negative_embedding_dimension, ["--set", "embeddings=embeddings.txt"])],
-        ids=["embeddings-word_table_without_last_class", "all-negative_embedding_dimension"])
+        ("all", negative_embedding_dimension, ["--set", "embeddings=embeddings.txt"]),
+        ("linear", embeddings_without_test_class, ["--set", "embeddings=embeddings.txt"])],
+        ids=["embeddings-word_table_without_last_class", "all-negative_embedding_dimension",
+             "linear-embeddings_without_test_class"])
     def test_ablate_refuses_before_training(self, experiment, capsys, monkeypatch,
                                             grid, corrupt, settings):
         tmp, config = experiment
@@ -722,6 +785,14 @@ def case(command, corrupt, *settings):
                         id="-".join([command, *names, *settings]))
 
 
+def agree(command, corrupt, message, *settings):
+    """`corrupt(tmp)`, if not None, edits the inputs; `message` is the text
+    the command prints after `error: ` and `validate` prints alone."""
+    names = [corrupt.__name__] if corrupt else [settings[-1]]
+    return pytest.param(command, corrupt, message, settings,
+                        id="-".join([command, *names]))
+
+
 EMBEDDINGS = "embeddings=embeddings.txt"
 CHECKPOINT = "checkpoint=model.ckpt"
 
@@ -793,3 +864,44 @@ class TestValidateAgreement:
         assert main(["validate", *argv]) == 1
         violations = capsys.readouterr().out.splitlines()
         assert len(violations) == 1 and where in violations[0]
+
+    @pytest.mark.parametrize("command,corrupt,message,settings", [
+        agree("train", shared_seen_class,
+              "class 'class00' appears in both 'seen' and 'zsl_test'", EMBEDDINGS),
+        agree("train", label_outside_every_split, "label class 'stray' is not in any split"),
+        *(agree(command, seen_rows_removed, "seen split has no training instances")
+          for command in ("train", "ablate")),
+        *(agree(command, validation_rows_removed, "split 'zsl_validation' has no instances")
+          for command in ("train", "ablate")),
+        agree("eval", zsl_test_rows_removed, "split 'zsl_test' has no instances",
+              EMBEDDINGS, CHECKPOINT),
+        agree("ablate", zsl_test_rows_removed, "split 'zsl_test' has no instances"),
+        agree("eval", empty_test_section, "split 'zsl_test' has no classes",
+              EMBEDDINGS, CHECKPOINT),
+        agree("train", embeddings_without_validation_class,
+              "class 'class05' in split 'zsl_validation' has no embedding", EMBEDDINGS),
+        agree("eval", embeddings_without_test_class,
+              "class 'class09' in split 'zsl_test' has no embedding", EMBEDDINGS, CHECKPOINT),
+        agree("train", feature_id_without_label, "feature id 'i00_000' has no label"),
+        agree("train", label_without_feature_row, "label id 'orphan' has no feature row"),
+        agree("eval", None, "eval split must be 'zsl_validation' or 'zsl_test', got 'seen'",
+              EMBEDDINGS, CHECKPOINT, "eval_split=seen"),
+        agree("ablate", None, "eval split must be 'zsl_validation' or 'zsl_test', got 'seen'",
+              "eval_split=seen"),
+    ])
+    def test_validate_prints_the_command_error(self, experiment, capsys,
+                                               command, corrupt, message, settings):
+        """Each cross-file rule forms its message once: the command prints it
+        after `error: `, and `validate` prints it alone."""
+        tmp, config = experiment
+        eval_args(tmp, config)  # embeddings.txt and model.ckpt on disk
+        if corrupt is not None:
+            corrupt(tmp)
+        argv = ["--config", str(config)]
+        for setting in settings:
+            argv += ["--set", setting]
+        capsys.readouterr()
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out == f"{message}\n"

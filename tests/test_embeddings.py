@@ -329,8 +329,15 @@ ONE_CLASS = ClassEmbeddingSet(("a",), np.zeros((1, 2)), (("word", 0, 2),))
      IncompleteCoverageError, "embedding matrix rows must match class names"),
     (lambda: ClassEmbeddingSet(("a",), np.zeros((1, 2)), (("word", 0, 3),)),
      IncompleteCoverageError, "block layout lengths must sum to the embedding dimension"),
-    (lambda: ONE_CLASS.index("b"), IncompleteCoverageError, "class 'b' has no embedding")],
-    ids=["word-vector-length", "embedding-rows", "embedding-layout", "missing-class"])
+    (lambda: ONE_CLASS.index("b"), IncompleteCoverageError, "class 'b' has no embedding"),
+    (lambda: ClassEmbeddingSet(("a", "b"), [[0.0], [np.nan]], (("word", 0, 1),)),
+     ZslError, "class 'b' has a non-finite embedding (nan or inf)"),
+    # the mean of two finite vectors overflows to inf, with no RuntimeWarning
+    (lambda: build_class_embeddings(("x y",), ("word",), EmbeddingSources(
+        word_table=WordVectorTable(1, {"x": (1e308,), "y": (1e308,)}))),
+     ZslError, "class 'x y' has a non-finite embedding (nan or inf)")],
+    ids=["word-vector-length", "embedding-rows", "embedding-layout", "missing-class",
+         "non-finite-embedding", "word-mean-overflows"])
 def test_malformed_tables_refused(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()

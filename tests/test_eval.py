@@ -127,6 +127,10 @@ class TestEvaluateZsl:
             def splits(self):
                 return self._inner.splits
 
+            @property
+            def present(self):
+                return self._inner.present
+
             def subset(self, split):
                 self.calls.append(split)
                 return self._inner.subset(split)
@@ -183,7 +187,7 @@ class TestEvaluateZsl:
 
     def test_split_classes_without_instances(self, monkeypatch):
         self.check_empty_split(("c",), AlignmentError,
-                               "split 'zsl_test' has no instances to score",
+                               "split 'zsl_test' has no instances",
                                monkeypatch)
 
 

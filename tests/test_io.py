@@ -157,6 +157,14 @@ class TestFeatures:
             f"row 'i280' declared normalized but has norm {norm!r}")
 
 
+def inf_in_class_embedding_set():
+    """A set whose matrix gains an inf after construction, which refuses one."""
+    embeddings = ClassEmbeddingSet(("A", "B"), np.array([[1.0, 2.0], [2.0, 0.0]]),
+                                   (("word", 0, 2),))
+    embeddings.matrix[1, 1] = -np.inf
+    return embeddings
+
+
 class TestNonFiniteValues:
     """nan and inf parse as floats; every numeric loader refuses them with
     the path and the line of the first offending row."""
@@ -189,9 +197,7 @@ class TestNonFiniteValues:
          io.FeatureSet(("a", "b"), np.array([[1.0, 2.0], [np.nan, 1.0]]), False), "b"),
         (io.save_word_vectors,
          WordVectorTable(2, {"oak": [1.0, 2.0], "fir": [np.inf, 1.0]}), "fir"),
-        (io.save_class_embeddings,
-         ClassEmbeddingSet(("A", "B"), np.array([[1.0, 2.0], [2.0, -np.inf]]),
-                           (("word", 0, 2),)), "B"),
+        (io.save_class_embeddings, inf_in_class_embedding_set(), "B"),
     ], ids=["features", "word_vectors", "class_embeddings"])
     def test_savers_refuse_before_opening(self, tmp_path, save, value, label):
         path = tmp_path / "out.txt"

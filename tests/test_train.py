@@ -197,9 +197,9 @@ class TestTrain:
             SplitDataset(("i0",), rng.normal(size=(1, 3)), ("c0",), splits)
         assert "c1" in str(exc.value)
 
-    @pytest.mark.parametrize("validation", [(), ("c9",)],
+    @pytest.mark.parametrize("validation,fault", [((), "classes"), (("c9",), "instances")],
                              ids=["no_classes", "classes_without_instances"])
-    def test_empty_validation_refused_before_training(self, validation,
+    def test_empty_validation_refused_before_training(self, validation, fault,
                                                       monkeypatch):
         dataset, embeddings = tiny_problem()
         splits = ClassSplits(dataset.splits.seen, validation,
@@ -212,7 +212,7 @@ class TestTrain:
         monkeypatch.setattr(kernels, "nll_and_grad", no_iteration)
         cfg = TrainConfig(batch_size=4, max_iterations=10, eval_every=5)
         with pytest.raises(SplitViolationError,
-                           match="^split 'zsl_validation' has no instances$"):
+                           match=f"^split 'zsl_validation' has no {fault}$"):
             train(dataset, embeddings, cfg)
 
     def test_embedding_coverage_gap(self):
