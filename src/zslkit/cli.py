@@ -294,7 +294,8 @@ class ValidationReport:
 def validate_experiment(cfg: dict) -> ValidationReport:
     """Load each input the config names as the commands do, and cross-check
     them. A failure is one violation, never an exception, and skips the checks
-    that need that input. With no `embeddings` file, the built set needs splits."""
+    that need that input. With no `embeddings` file, the built set needs
+    splits in which no class appears twice."""
     violations: list[str] = []
 
     def attempt(what, load):
@@ -314,8 +315,9 @@ def validate_experiment(cfg: dict) -> ValidationReport:
     labels = load_file("labels", io.load_labels)
     splits = load_file("splits", io.load_splits)
     settings = attempt("settings", lambda: _source_settings(cfg))
+    buildable = splits and settings and not splits.overlap_violations()
     embeddings = (attempt("embeddings", lambda: _load_embeddings(cfg, splits))
-                  if "embeddings" in cfg or (splits and settings) else None)
+                  if "embeddings" in cfg or buildable else None)
     checkpoint = load_file("checkpoint", io.load_checkpoint)
     attempt("training settings", lambda: _train_config(cfg))
     eval_split = {key: attempt("settings", lambda: _setting(cfg, key))

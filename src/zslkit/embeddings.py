@@ -35,6 +35,15 @@ WORD_POLICIES = ("strict", "skip-missing")
 _TOKEN_SPLIT = re.compile(r"[\s/]+")
 
 
+def rescaled_norm(row: np.ndarray, norm: float) -> float:
+    """`norm`, the caller's plain norm of `row`, or, where it over- or
+    underflowed on a finite nonzero row, m * norm(row / m), m = max |row|."""
+    if norm == 0.0 or np.isinf(norm):
+        if 0.0 < (m := np.abs(row).max(initial=0.0)) < np.inf:
+            return m * np.linalg.norm(row / m)
+    return norm
+
+
 def tokenize_name(name: str) -> list[str]:
     """Lowercase and split on whitespace and '/' (names like 'Apple/Crabapple')."""
     return [t for t in _TOKEN_SPLIT.split(name.lower()) if t]
@@ -381,10 +390,11 @@ def build_class_embeddings(classes: Sequence[str], sources: Sequence[str],
     for source in ordered_sources(sources):
         block = _SOURCE_BLOCKS[source](classes, inputs)
         if normalize_blocks:
-            for row in block:
-                norm = float(np.linalg.norm(row))
-                if norm > 0.0:
-                    row /= norm
+            with np.errstate(over="ignore"):
+                for row in block:
+                    norm = rescaled_norm(row, float(np.linalg.norm(row)))
+                    if norm > 0.0:
+                        row /= norm
         layout.append((source, offset, block.shape[1]))
         blocks.append(block)
         offset += block.shape[1]

@@ -49,6 +49,7 @@ from .embeddings import (
     ClassEmbeddingSet,
     TaxonomyTree,
     WordVectorTable,
+    rescaled_norm,
 )
 from .errors import (
     AlignmentError,
@@ -438,12 +439,11 @@ class FeatureSet:
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """`np.linalg.norm(matrix, axis=1)` of a chunk of rows, whose squared
     entries fill a temporary no larger than it; a norm that over- or
-    underflows is m * norm(row / m), m = max |row| > 0."""
+    underflows is rescaled by `rescaled_norm`."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
         for i in np.flatnonzero(np.isinf(norms) | (norms == 0.0)):
-            if 0.0 < (m := np.abs(matrix[i]).max()) < np.inf:
-                norms[i] = m * np.linalg.norm(matrix[i] / m)
+            norms[i] = rescaled_norm(matrix[i], norms[i])
     return norms
 
 

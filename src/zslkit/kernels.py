@@ -1,10 +1,12 @@
 """Hot training-step kernel: batch scores -> shifted softmax -> summed
 negative log-likelihood and a factor of its gradient.
 
-The gradient G = Phi_e.T @ R @ Psi_e, with R the (B, K) posteriors minus the
-one-hot labels, has rank at most K, the number of training classes. So the
-kernel returns only A = Phi_e.T @ R, and `grad_rows` forms G from it one row
-block at a time: a training step never holds the full (d+1, m+1) gradient.
+`scores`, which `model.score_matrix` also calls, scores plain (B, d) rows
+as Phi @ P[:d] + P[d], P = W_e @ Psi_e.T: the rows' implicit 1 selects P[d].
+The gradient G = A @ Psi_e, A = [Phi 1].T @ R with R the (B, K) posteriors
+minus the one-hot labels, has rank at most K, the number of training
+classes. So the kernel returns only A, and `grad_rows` forms G from it one
+row block at a time: a training step never holds the full (d+1, m+1) gradient.
 """
 
 import numpy as np
@@ -12,15 +14,23 @@ import numpy as np
 from .optim import block_rows
 
 
-def nll_and_grad(W_e, Phi_e, label_idx, Psi_e):
+def scores(W_e, Phi, Psi_e):
+    """(B, K) scores of plain rows Phi (B, d) against extended classes Psi_e."""
+    P = W_e @ Psi_e.T
+    S = Phi @ P[:-1]
+    S += P[-1]
+    return S
+
+
+def nll_and_grad(W_e, Phi, label_idx, Psi_e):
     """Summed NLL over a batch and the (d+1, K) left factor A of its
     gradient G = A @ Psi_e.
 
-    Phi_e:     (B, d+1) extended image embeddings
+    Phi:       (B, d) image embeddings
     label_idx: (B,) int64 indices into the training class ordering
     Psi_e:     (K, m+1) extended class embeddings
     """
-    S = Phi_e @ (W_e @ Psi_e.T)  # (B, K)
+    S = scores(W_e, Phi, Psi_e)
     shift = S.max(axis=1, keepdims=True)
     E = np.exp(S - shift)
     Z = E.sum(axis=1, keepdims=True)
@@ -28,7 +38,10 @@ def nll_and_grad(W_e, Phi_e, label_idx, Psi_e):
     nll = float(np.sum(np.log(Z[:, 0]) + shift[:, 0] - S[rows, label_idx]))
     R = E / Z  # posteriors
     R[rows, label_idx] -= 1.0
-    return nll, Phi_e.T @ R
+    A = np.empty((W_e.shape[0], R.shape[1]))
+    np.matmul(Phi.T, R, out=A[:-1])
+    A[-1] = R.sum(axis=0)
+    return nll, A
 
 
 def grad_rows(A, Psi_e, start, stop, out):

@@ -105,24 +105,19 @@ def score(model: CompatModel, phi: np.ndarray, psi: np.ndarray) -> float:
 
 
 def score_matrix(model: CompatModel, Phi: np.ndarray, classes) -> np.ndarray:
-    """(B, K) score matrix for a stack of image embeddings.
-
-    Like the training kernel, it forms the (d+1, K) class factor
-    P = W_e @ Psi_e.T first. The rows' constant 1 selects P's last row, so
-    the plain rows score as Phi @ P[:d] + P[d], with no extended copy."""
+    """(B, K) score matrix for a stack of image embeddings, from
+    `kernels.scores`, the function the training kernel scores through."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[1] != model.d:
         raise ShapeMismatchError(
             f"Phi has shape {Phi.shape}, expected (n, {model.d})")
-    P = model.W_e @ extend_embedding(_class_matrix(classes, model.m)).T
-    S = Phi @ P[:-1]
-    S += P[-1]
-    return S
+    return kernels.scores(model.W_e, Phi,
+                          extend_embedding(_class_matrix(classes, model.m)))
 
 
 def _check_batch(model, Phi, labels, classes):
-    """Validate a training batch; return the extended (Phi_e, labels, Psi_e)
-    that the kernel takes."""
+    """Validate a training batch; return the plain rows, the labels and the
+    extended classes (Phi, labels, Psi_e) that the kernel takes."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[1] != model.d:
         raise ShapeMismatchError(
@@ -137,14 +132,14 @@ def _check_batch(model, Phi, labels, classes):
         raise UnseenLabelError(
             f"label index(es) {labels[bad].tolist()} outside the "
             f"{Psi.shape[0]}-class training set")
-    return extend_embedding(Phi), labels, extend_embedding(Psi)
+    return Phi, labels, extend_embedding(Psi)
 
 
 def nll(model: CompatModel, Phi: np.ndarray, labels: np.ndarray, classes) -> float:
     """Summed negative log-likelihood of a batch under the softmax posterior
     over the given training classes. Labels are indices into that ordering."""
-    Phi_e, labels, Psi_e = _check_batch(model, Phi, labels, classes)
-    return kernels.nll_and_grad(model.W_e, Phi_e, labels, Psi_e)[0]
+    Phi, labels, Psi_e = _check_batch(model, Phi, labels, classes)
+    return kernels.nll_and_grad(model.W_e, Phi, labels, Psi_e)[0]
 
 
 def gradient(model: CompatModel, Phi: np.ndarray, labels: np.ndarray,
@@ -152,8 +147,8 @@ def gradient(model: CompatModel, Phi: np.ndarray, labels: np.ndarray,
     """Gradient of the batch NLL with respect to W_e: the per-sample outer
     product of the extended image embedding with (posterior-weighted mean
     class embedding minus the true class embedding), summed over the batch."""
-    Phi_e, labels, Psi_e = _check_batch(model, Phi, labels, classes)
-    A = kernels.nll_and_grad(model.W_e, Phi_e, labels, Psi_e)[1]
+    Phi, labels, Psi_e = _check_batch(model, Phi, labels, classes)
+    A = kernels.nll_and_grad(model.W_e, Phi, labels, Psi_e)[1]
     return kernels.gradient(A, Psi_e)
 
 

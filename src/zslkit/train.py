@@ -151,7 +151,6 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
 
     d = dataset.d
     m = embeddings.m
-    Phi_e = extend_embedding(X)
     Psi_e = extend_embedding(embeddings.select(splits.seen))
 
     W_e = init_model(d, m, config.init_scheme, config.seed).W_e
@@ -188,7 +187,7 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.max_iterations + 1):
             batch = pool[batch_rng.integers(0, len(pool), size=config.batch_size)]
-            batch_nll, A = kernels.nll_and_grad(W_e, Phi_e[batch], label_idx[batch], Psi_e)
+            batch_nll, A = kernels.nll_and_grad(W_e, X[batch], label_idx[batch], Psi_e)
             if not math.isfinite(batch_nll):
                 raise DivergenceError(
                     f"training diverged at iteration {t}: batch NLL is {batch_nll!r}")

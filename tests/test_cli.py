@@ -888,6 +888,10 @@ class TestValidateAgreement:
               EMBEDDINGS, CHECKPOINT, "eval_split=seen"),
         agree("ablate", None, "eval split must be 'zsl_validation' or 'zsl_test', got 'seen'",
               "eval_split=seen"),
+        # The overlap again, with the class embeddings built from the sources.
+        pytest.param("train", shared_seen_class,
+                     "class 'class00' appears in both 'seen' and 'zsl_test'", (),
+                     id="train-shared_seen_class-built_embeddings"),
     ])
     def test_validate_prints_the_command_error(self, experiment, capsys,
                                                command, corrupt, message, settings):

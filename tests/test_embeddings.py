@@ -301,6 +301,18 @@ class TestBuildClassEmbeddings:
                                      normalize_blocks=True)
         assert emb.matrix.tolist() == [[0.0, 0.0], [0.6, 0.8]]
 
+    def test_normalize_blocks_rescales_a_norm_that_over_or_underflows(self):
+        # The squares of 1e200 overflow and those of 1e-200 underflow, so the
+        # plain norms read inf and 0; both rows are finite and nonzero.
+        src = tiny_sources()
+        src.word_table = WordVectorTable(2, {"classa": (1e200, 1e200),
+                                             "classb": (1e-200, -1e-200)})
+        emb = build_class_embeddings(("ClassA", "ClassB"), ("word",), src,
+                                     normalize_blocks=True)
+        half = np.sqrt(0.5)
+        np.testing.assert_allclose(emb.matrix, [[half, half], [half, -half]],
+                                   rtol=1e-15)
+
     def test_rejects_bad_sources(self):
         with pytest.raises(ValueError):
             build_class_embeddings(("ClassA",), (), tiny_sources())
@@ -335,9 +347,11 @@ ONE_CLASS = ClassEmbeddingSet(("a",), np.zeros((1, 2)), (("word", 0, 2),))
     # the mean of two finite vectors overflows to inf, with no RuntimeWarning
     (lambda: build_class_embeddings(("x y",), ("word",), EmbeddingSources(
         word_table=WordVectorTable(1, {"x": (1e308,), "y": (1e308,)}))),
-     ZslError, "class 'x y' has a non-finite embedding (nan or inf)")],
+     ZslError, "class 'x y' has a non-finite embedding (nan or inf)"),
+    (lambda: ClassEmbeddingSet(("a", "a"), np.zeros((2, 1)), (("word", 0, 1),)),
+     IncompleteCoverageError, "class names must be unique")],
     ids=["word-vector-length", "embedding-rows", "embedding-layout", "missing-class",
-         "non-finite-embedding", "word-mean-overflows"])
+         "non-finite-embedding", "word-mean-overflows", "repeated-class-name"])
 def test_malformed_tables_refused(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()

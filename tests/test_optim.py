@@ -212,14 +212,14 @@ class TestAdamUpdate:
         rng = np.random.default_rng(8)
         d, m, K, B = 1023, 160, 24, 100
         W_e = rng.normal(size=(d + 1, m + 1)) / np.sqrt(d * m)
-        Phi_e = np.hstack([rng.normal(size=(B, d)), np.ones((B, 1))])
+        Phi = rng.normal(size=(B, d))
         Psi_e = np.hstack([rng.normal(size=(K, m)), np.ones((K, 1))])
         labels = rng.integers(0, K, size=B)
         update, state = {"adam": (adam_update, AdamState.for_shape(W_e.shape)),
                          "sgd": (sgd_update, SgdState())}[optimizer]
         tracemalloc.start()
         try:
-            _, A = kernels.nll_and_grad(W_e, Phi_e, labels, Psi_e)
+            _, A = kernels.nll_and_grad(W_e, Phi, labels, Psi_e)
             update(state, W_e, lambda start, stop, out:
                    kernels.grad_rows(A, Psi_e, start, stop, out))
             _, peak = tracemalloc.get_traced_memory()

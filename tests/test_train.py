@@ -247,8 +247,8 @@ class TestTrain:
         assert report.best_accuracy > 0.9
 
 
-def dense_gradient(W_e, Phi_e, labels, Psi_e):
-    _, A = kernels.nll_and_grad(W_e, Phi_e, labels, Psi_e)
+def dense_gradient(W_e, Phi, labels, Psi_e):
+    _, A = kernels.nll_and_grad(W_e, Phi, labels, Psi_e)
     return kernels.gradient(A, Psi_e)
 
 
@@ -261,7 +261,6 @@ def reference_training_run(dataset, embeddings, cfg, gradient=dense_gradient):
     X = dataset.features[rows]
     labels = [dataset.labels[i] for i in rows]
     label_idx = np.asarray([classes.index(l) for l in labels])
-    Phi_e = extend_embedding(X)
     Psi_e = extend_embedding(embeddings.select(classes))
     d, m = dataset.d, embeddings.m
     mask = np.ones((d + 1, m + 1))
@@ -275,7 +274,7 @@ def reference_training_run(dataset, embeddings, cfg, gradient=dense_gradient):
     state = AdamState.for_shape(W_e.shape, alpha=cfg.learning_rate)
     for _ in range(cfg.max_iterations):
         batch = pool[batch_rng.integers(0, len(pool), size=cfg.batch_size)]
-        G = gradient(W_e, Phi_e[batch], label_idx[batch], Psi_e) * mask
+        G = gradient(W_e, X[batch], label_idx[batch], Psi_e) * mask
         if cfg.optimizer == "sgd":
             W_e = W_e - cfg.learning_rate * G
         else:
