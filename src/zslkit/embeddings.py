@@ -393,7 +393,7 @@ def build_class_embeddings(classes: Sequence[str], sources: Sequence[str],
             with np.errstate(over="ignore"):
                 for row in block:
                     norm = rescaled_norm(row, float(np.linalg.norm(row)))
-                    if norm > 0.0:
+                    if 0.0 < norm < np.inf:  # an inf row stays, to be refused below
                         row /= norm
         layout.append((source, offset, block.shape[1]))
         blocks.append(block)

@@ -71,6 +71,10 @@ class ParseError(ZslError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.path, self.line, self.message)
 
 
 class DivergenceError(ZslError):

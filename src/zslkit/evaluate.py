@@ -8,6 +8,7 @@ large classes cannot dominate the score.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,6 +23,7 @@ from .errors import (
     EmptyClassSetError,
     IncompleteCoverageError,
     SplitViolationError,
+    ZslError,
     refuse,
 )
 from .model import CompatModel, score_matrix
@@ -129,16 +131,22 @@ class SplitDataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """The split's feature rows in dataset order, and their indices into
-        `splits.classes(split)`. The rows are `features` itself, not a copy,
-        when every row is in the split."""
+    def rows(self, split: str) -> tuple[np.ndarray | slice, np.ndarray]:
+        """Which rows of `features` are the split's, in dataset order (every
+        row as a slice, which indexes without a copy), and their indices into
+        `splits.classes(split)`."""
         n = len(self.splits.classes(split))
         start = sum(len(self.splits.classes(s))
                     for s in SPLIT_NAMES[:SPLIT_NAMES.index(split)])
         keep = (self.codes >= start) & (self.codes < start + n)
-        rows = self.features if keep.all() else self.features[keep]
-        return rows, self.codes[keep] - start
+        return slice(None) if keep.all() else np.flatnonzero(keep), self.codes[keep] - start
+
+    def subset(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        """The split's feature rows in dataset order, and their indices into
+        `splits.classes(split)`. The rows are a view of `features`, not a
+        copy, when every row is in the split."""
+        rows, label_idx = self.rows(split)
+        return self.features[rows], label_idx
 
 
 @dataclass
@@ -164,25 +172,52 @@ def normalized_accuracy(predictions: Sequence[str], labels: Sequence[str]) -> Ev
     return EvalResult(mean, per_class, dict(confusion))
 
 
-def _target_rows(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
-                 target_split: str):
-    """The classes, feature rows and class indices of a zero-shot split
-    with instances and with an embedding for each of its classes."""
+def _target_classes(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
+                    target_split: str) -> tuple[str, ...]:
+    """The classes of a zero-shot split with instances and with an
+    embedding for each of its classes."""
     splits = dataset.splits
     refuse(ConfigError, eval_split_violations(target_split))
     classes = splits.classes(target_split)
     refuse(AlignmentError if classes else EmptyClassSetError,
            splits.instance_violations(dataset.present, (target_split,)))
     refuse(IncompleteCoverageError, splits.coverage_violations(embeddings, (target_split,)))
-    X, label_idx = dataset.subset(target_split)
-    return classes, X, label_idx
+    return classes
 
 
-def evaluate_zsl(model: CompatModel, dataset: SplitDataset,
-                 embeddings: ClassEmbeddingSet, target_split: str) -> EvalResult:
+class TargetSplit:
+    """A zero-shot split checked once, to score many models by class index:
+    the rows of `features` that hold it, each row's class index, the class
+    rows scored against, and the indices of the classes with rows, in order
+    of first appearance as normalized_accuracy keys them, with their row
+    counts. The rows are gathered per model: a copy held from one model to
+    the next would add to train's peak memory."""
+
+    def __init__(self, dataset: SplitDataset, embeddings: ClassEmbeddingSet, name: str):
+        self.Psi = embeddings.select(_target_classes(dataset, embeddings, name))
+        self.features, (self.rows, self.label_idx) = dataset.features, dataset.rows(name)
+        self.order = np.array(list(dict.fromkeys(self.label_idx.tolist())), dtype=np.int64)
+        self.totals = np.bincount(self.label_idx)[self.order]
+
+    def accuracy(self, model: CompatModel) -> float:
+        """normalized_accuracy of the model's predictions, counted by index."""
+        S = score_matrix(model, self.features[self.rows], self.Psi)
+        hits = self.label_idx[np.argmax(S, axis=1) == self.label_idx]
+        counts = np.bincount(hits, minlength=len(self.Psi))
+        return float(np.mean(counts[self.order] / self.totals))
+
+
+def evaluate_zsl(model: CompatModel, dataset: SplitDataset, embeddings: ClassEmbeddingSet,
+                 target_split: str | TargetSplit) -> EvalResult:
     """Predict every instance of the target split among that split's classes
-    only, then score with normalized accuracy."""
-    classes, X, label_idx = _target_rows(dataset, embeddings, target_split)
+    only, then score with normalized accuracy. `target_split` names the split,
+    or is a TargetSplit of `dataset` and `embeddings` built once for many
+    models, as for train's snapshots: then only the accuracy is counted, and
+    the result's two dicts are empty."""
+    if isinstance(target_split, TargetSplit):
+        return EvalResult(target_split.accuracy(model), {}, {})
+    classes = _target_classes(dataset, embeddings, target_split)
+    X, label_idx = dataset.subset(target_split)
     S = score_matrix(model, X, embeddings.select(classes))
     return normalized_accuracy([classes[i] for i in np.argmax(S, axis=1)],
                                [classes[i] for i in label_idx])
@@ -203,21 +238,51 @@ class LinearTermRow:
     std: float | None = None
 
 
-def _train_and_score(dataset, embeddings, config, eval_split, repeats):
+def _train_and_score(dataset, models, eval_split, repeats):
+    """The (mean, std) of each (embeddings, config) model's accuracy on
+    `eval_split` over `repeats` shifted seeds, in order. Each (model, repeat)
+    is a task: child k of _forked runs tasks k, k+n, ... and sends their
+    accuracies and the ZslError that stopped it, while this process runs its
+    own share. Then, in task order, the first error is raised and a task no
+    result came for runs here, so results and errors are a serial run's."""
+    from .io import _forked  # deferred; io depends on this module
     from .train import train  # deferred; train depends on this module
 
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    _target_rows(dataset, embeddings, eval_split)  # refuse a bad split before training
+    for embeddings, _ in models:  # refuse a bad split before training
+        _target_classes(dataset, embeddings, eval_split)
+    tasks = [(embeddings, dataclasses.replace(config, seed=config.seed + r))
+             for embeddings, config in models for r in range(repeats)]
+
+    def score(embeddings, config):
+        model = train(dataset, embeddings, config).model
+        return evaluate_zsl(model, dataset, embeddings, eval_split).normalized_accuracy
+
+    def share(k, n):
+        accs = []
+        try:
+            accs.extend(score(*task) for task in tasks[k::n])
+        except ZslError as error:
+            return accs, error
+        return accs, None
+
+    with _forked(len(tasks), lambda out, k, n: pickle.dump(share(k, n), out)) as (n, parts):
+        shares = [share(0, n)]
+        for part in parts:
+            try:
+                shares.append(pickle.load(part))
+            except (EOFError, pickle.UnpicklingError):  # the child sent nothing or short
+                shares.append(([], None))
     accs = []
-    for r in range(repeats):
-        cfg = dataclasses.replace(config, seed=config.seed + r)
-        report = train(dataset, embeddings, cfg)
-        accs.append(evaluate_zsl(report.model, dataset, embeddings, eval_split)
-                    .normalized_accuracy)
-    mean = float(np.mean(accs))
-    std = float(np.std(accs)) if repeats > 1 else None
-    return mean, std
+    for i, task in enumerate(tasks):
+        done, error = shares[i % n]
+        if i // n == len(done) and error is not None:
+            raise error
+        accs.append(done[i // n] if i // n < len(done) else score(*task))
+    return [(float(np.mean(accs[j:j + repeats])),
+             float(np.std(accs[j:j + repeats])) if repeats > 1 else None)
+            for j in range(0, len(accs), repeats)]
 
 
 def ablate_embeddings(dataset: SplitDataset, inputs: EmbeddingSources, config,
@@ -232,11 +297,9 @@ def ablate_embeddings(dataset: SplitDataset, inputs: EmbeddingSources, config,
     grid = [(subset, build_class_embeddings(all_classes, subset, inputs,
                                             normalize_blocks=normalize_blocks))
             for subset in EMBEDDING_SUBSETS if set(subset) <= set(sources)]
-    rows = []
-    for subset, embeddings in grid:
-        mean, std = _train_and_score(dataset, embeddings, config, eval_split, repeats)
-        rows.append(AblationRow(subset, mean, std))
-    return rows
+    results = _train_and_score(dataset, [(embeddings, config) for _, embeddings in grid],
+                               eval_split, repeats)
+    return [AblationRow(subset, *result) for (subset, _), result in zip(grid, results)]
 
 
 def ablate_linear_terms(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
@@ -244,9 +307,7 @@ def ablate_linear_terms(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
                         repeats: int = 1) -> list[LinearTermRow]:
     """Train and evaluate the four mask combinations of the two linear terms.
     The bias stays trainable throughout; it cannot affect the posterior."""
-    rows = []
-    for use_wx, use_wy in LINEAR_TERM_GRID:
-        cfg = dataclasses.replace(config, use_wx=use_wx, use_wy=use_wy)
-        mean, std = _train_and_score(dataset, embeddings, cfg, eval_split, repeats)
-        rows.append(LinearTermRow(use_wx, use_wy, mean, std))
-    return rows
+    models = [(embeddings, dataclasses.replace(config, use_wx=use_wx, use_wy=use_wy))
+              for use_wx, use_wy in LINEAR_TERM_GRID]
+    results = _train_and_score(dataset, models, eval_split, repeats)
+    return [LinearTermRow(*terms, *result) for terms, result in zip(LINEAR_TERM_GRID, results)]

@@ -23,7 +23,7 @@ from .errors import (
     SplitViolationError,
     refuse,
 )
-from .evaluate import SplitDataset, evaluate_zsl
+from .evaluate import SplitDataset, TargetSplit, evaluate_zsl
 from .model import CompatModel, extend_embedding
 from .optim import AdamState, SgdState, sgd_update
 # The benchmark's tracer times the optimizer step, which also forms the
@@ -146,6 +146,7 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     splits, fitted = dataset.splits, ("seen", "zsl_validation")
     refuse(SplitViolationError, splits.instance_violations(dataset.present, fitted))
     refuse(IncompleteCoverageError, splits.coverage_violations(embeddings, fitted))
+    validation = TargetSplit(dataset, embeddings, "zsl_validation")
 
     X, label_idx = dataset.subset("seen")
 
@@ -199,7 +200,7 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
                         f"training diverged at iteration {t}: parameters are not finite")
                 # Scored in place: evaluate_zsl only reads the model.
                 acc = evaluate_zsl(CompatModel(W_e), dataset, embeddings,
-                                   "zsl_validation").normalized_accuracy
+                                   validation).normalized_accuracy
                 records.append(EvalRecord(t, batch_nll, acc))
                 if acc > best_accuracy:
                     best_accuracy = acc

@@ -1,16 +1,31 @@
 import json
+import os
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zslkit
 from synthdata import block_signal_problem, write_experiment_files
 from zslkit import io
 from zslkit.cli import main, validate_experiment
 from zslkit.embeddings import ClassEmbeddingSet
 from zslkit.evaluate import ClassSplits
 from zslkit.model import CompatModel
+
+
+def class_embedding_overflows(tmp):
+    """Rename class08 to `class08 big`, whose word vector, the mean of two
+    vectors of 1e308, is inf."""
+    for name in ("splits.txt", "labels.tsv"):
+        (tmp / name).write_text((tmp / name).read_text().replace("class08", "class08 big"))
+    words = (tmp / "word_vectors.txt").read_text().splitlines()
+    huge = " ".join(["1e308"] * (len(words[0].split()) - 1))
+    words = [f"class08 {huge}" if w.startswith("class08 ") else w for w in words]
+    (tmp / "word_vectors.txt").write_text("\n".join([*words, f"big {huge}"]) + "\n")
 
 
 @pytest.fixture()
@@ -269,6 +284,24 @@ class TestAblateCommand:
         assert main(["ablate", "--config", str(config), "--grid", "all",
                      "--set", "max_iterations=100"]) == 0
         assert sorted(calls) == sorted(keys)
+
+    def test_output_to_a_file_holds_each_row_once(self, experiment, capsys):
+        """A child forked to train models inherits the rows printed but not
+        yet flushed to a file, and exits without writing them."""
+        tmp, config = experiment
+        argv = ["ablate", "--config", str(config), "--set", "max_iterations=100"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "os.sched_setaffinity = lambda pid, cpus: None; "
+                "from zslkit.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}  # stdout to a file is block-buffered
+        env["PYTHONPATH"] = str(Path(zslkit.__file__).parents[1])
+        with open(tmp / "ablate.txt", "w") as out:
+            subprocess.run([sys.executable, "-c", code, *argv], stdout=out, env=env, check=True)
+        assert (tmp / "ablate.txt").read_text() == expected
+        assert expected.count("# linear-term grid\n") == 1
 
 
 class TestUsageErrors:
@@ -642,12 +675,7 @@ class TestMalformedInputs:
         scores: each command exits 1 with one line naming the class."""
         tmp, config = experiment
         eval_args(tmp, config)  # model.ckpt on disk
-        for name in ("splits.txt", "labels.tsv"):
-            (tmp / name).write_text((tmp / name).read_text().replace("class08", "class08 big"))
-        words = (tmp / "word_vectors.txt").read_text().splitlines()
-        huge = " ".join(["1e308"] * (len(words[0].split()) - 1))
-        words = [f"class08 {huge}" if w.startswith("class08 ") else w for w in words]
-        (tmp / "word_vectors.txt").write_text("\n".join([*words, f"big {huge}"]) + "\n")
+        class_embedding_overflows(tmp)
         capsys.readouterr()
         assert main([command, "--config", str(config), "--set", "sources=word",
                      "--set", CHECKPOINT]) == 1
@@ -657,6 +685,17 @@ class TestMalformedInputs:
             assert (captured.out, captured.err) == (f"embeddings: {message}\n", "")
         else:
             assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_inf_class_embedding_stays_inf_under_normalize_blocks(self, experiment, capsys):
+        """Scaling each block row to unit length leaves an inf row as it is,
+        so train refuses it with the one line it prints without scaling."""
+        tmp, config = experiment
+        class_embedding_overflows(tmp)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--set", "sources=word",
+                     "--set", "normalize_blocks=1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: class 'class08 big' has a non-finite embedding (nan or inf)"]
 
     def test_train_divergence_names_iteration(self, experiment, capsys):
         _, config = experiment

@@ -1,16 +1,22 @@
+import contextlib
+import os
 import re
 import sys
+from io import BytesIO
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from synthdata import block_signal_problem, linear_problem
+from zslkit import io
 from zslkit.embeddings import ClassEmbeddingSet
 from zslkit.errors import (
     AlignmentError,
     ConfigError,
     EmptyClassSetError,
     IncompleteCoverageError,
+    ParseError,
 )
 from zslkit.evaluate import (
     EMBEDDING_SUBSETS,
@@ -18,6 +24,7 @@ from zslkit.evaluate import (
     SPLIT_NAMES,
     ClassSplits,
     SplitDataset,
+    TargetSplit,
     ablate_embeddings,
     ablate_linear_terms,
     evaluate_zsl,
@@ -275,6 +282,19 @@ class TestClassCodes:
         assert list(got.per_class_accuracy) == list(expected.per_class_accuracy)
         assert list(got.confusion) == list(expected.confusion)
 
+    @pytest.mark.parametrize("split", ["zsl_validation", "zsl_test"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_target_split_counts_the_same_accuracy(self, seed, split):
+        """A split built once and scored by class index, as train scores its
+        snapshots, gives the accuracy of the string walk bit for bit."""
+        dataset, embeddings, model = shuffled_problem(seed)
+        target = TargetSplit(dataset, embeddings, split)
+        expected = evaluate_zsl(model, dataset, embeddings, split)
+        for _ in range(2):  # the split is only read
+            got = evaluate_zsl(model, dataset, embeddings, target)
+            assert got.normalized_accuracy == expected.normalized_accuracy
+            assert (got.per_class_accuracy, got.confusion) == ({}, {})
+
 
 FAST = TrainConfig(batch_size=50, max_iterations=300, eval_every=100, seed=3,
                    learning_rate=3e-3)
@@ -327,3 +347,132 @@ class TestAblations:
             phi = rng.normal(size=model.d)
             psi = rng.normal(size=model.m)
             assert score(model, phi, psi) == float(phi @ model.W @ psi) + model.b
+
+
+SMALL = TrainConfig(batch_size=20, max_iterations=40, eval_every=20, seed=3,
+                    learning_rate=3e-3)
+
+
+def run_grid(grid, repeats=1):
+    if grid == "embeddings":
+        dataset, sources = block_signal_problem(seed=0, n_classes=10, n_seen=5,
+                                                n_val=2, per_class=15)
+        return ablate_embeddings(dataset, sources, SMALL, repeats=repeats)
+    dataset, embeddings, _ = linear_problem(seed=6, n_classes=10, m=6, d=12,
+                                            per_class=15, n_seen=6, n_val=2)
+    return ablate_linear_terms(dataset, embeddings, SMALL, repeats=repeats)
+
+
+@contextlib.contextmanager
+def two_cpus():
+    """The grids run as if this process may use two CPUs, whatever it may
+    use; the child is not pinned. Yields the pids forked."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        forks.append(fork())
+        return forks[-1]
+
+    with mock.patch.object(os, "fork", spy), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+            mock.patch.object(os, "sched_setaffinity", lambda pid, cpus: None):
+        yield forks
+
+
+def serial(monkeypatch):
+    forked = io._forked
+    monkeypatch.setattr(io, "_forked", lambda parts, send: forked(1, send))
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def trains_here(monkeypatch, fail_at=(), child_fails=False):
+    """Patch train to raise, in any process, ParseError('task', i, 'bad') for
+    each linear-grid task i in `fail_at`, and in a child, if `child_fails`,
+    a RuntimeError. Returns the tasks trained in this process."""
+    module = sys.modules["zslkit.train"]  # zslkit.train names the function
+    original, here, parent = module.train, [], os.getpid()
+
+    def train_(dataset, embeddings, config):
+        task = LINEAR_TERM_GRID.index((config.use_wx, config.use_wy))
+        if os.getpid() == parent:
+            here.append(task)
+        elif child_fails:
+            raise RuntimeError("the child failed")
+        if task in fail_at:
+            raise ParseError("task", task, "bad")
+        return original(dataset, embeddings, config)
+
+    monkeypatch.setattr(module, "train", train_)
+    return here
+
+
+class TestForkedGrid:
+    """Models trained as tasks split between this process and a forked
+    child give the rows, and raise the error, of a serial run."""
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    @pytest.mark.parametrize("grid", ["embeddings", "linear"])
+    def test_rows_equal_serial(self, monkeypatch, grid, repeats):
+        with two_cpus() as forks:
+            rows = run_grid(grid, repeats)
+        assert len(forks) == 1
+        no_child_left()
+        serial(monkeypatch)
+        assert run_grid(grid, repeats) == rows
+
+    @pytest.mark.parametrize("fail_at, raised", [
+        ((0, 1), 0), ((1, 2), 1), ((2, 3), 2), ((3,), 3), ((1, 3), 1), ((2,), 2)])
+    def test_earliest_error_in_grid_order(self, monkeypatch, fail_at, raised):
+        """Tasks 0 and 2 run here, 1 and 3 in the child: the error raised is
+        the earliest task's, wherever it ran, with its type and attributes."""
+        trains_here(monkeypatch, fail_at)
+        with two_cpus() as forks, pytest.raises(ParseError) as exc:
+            run_grid("linear")
+        assert len(forks) == 1
+        assert (str(exc.value), exc.value.line) == (f"task:{raised}: bad", raised)
+        no_child_left()
+
+    def test_fork_failure_runs_serially(self, monkeypatch):
+        serial(monkeypatch)
+        expected = run_grid("linear")
+        monkeypatch.undo()
+
+        def no_fork():
+            raise OSError("no process to spare")
+
+        here = trains_here(monkeypatch)
+        with two_cpus(), mock.patch.object(os, "fork", no_fork):
+            assert run_grid("linear") == expected
+        assert here == [0, 1, 2, 3]
+        no_child_left()
+
+    @pytest.mark.parametrize("sent", [0, 9, -1, None],
+                             ids=["nothing", "part", "all-but-a-byte", "child-raised"])
+    def test_child_without_results_runs_its_tasks_here(self, monkeypatch, sent):
+        """A child that sends nothing or short, or fails with an error that is
+        not a ZslError, has its tasks run again in this process."""
+        serial(monkeypatch)
+        expected = run_grid("linear")
+        monkeypatch.undo()
+        forked = io._forked
+
+        def short(parts, send):
+            def send_short(out, k, n):
+                buffer = BytesIO()
+                send(buffer, k, n)
+                out.write(buffer.getvalue()[:sent])
+
+            return forked(parts, send_short)
+
+        if sent is not None:
+            monkeypatch.setattr(io, "_forked", short)
+        here = trains_here(monkeypatch, child_fails=sent is None)
+        with two_cpus() as forks:
+            assert run_grid("linear") == expected
+        assert len(forks) == 1 and here == [0, 2, 1, 3]
+        no_child_left()
