@@ -26,6 +26,7 @@ from .errors import (
     ZslError,
     refuse,
 )
+from .forking import _forked
 from .model import CompatModel, score_matrix
 
 SPLIT_NAMES = ("seen", "zsl_validation", "zsl_test")
@@ -244,20 +245,22 @@ def _train_and_score(dataset, models, eval_split, repeats):
     is a task: child k of _forked runs tasks k, k+n, ... and sends their
     accuracies and the ZslError that stopped it, while this process runs its
     own share. Then, in task order, the first error is raised and a task no
-    result came for runs here, so results and errors are a serial run's."""
-    from .io import _forked  # deferred; io depends on this module
+    result came for runs here, so results and errors are a serial run's.
+    The split is checked, before the first model trains, as one TargetSplit
+    per distinct embeddings, which scores each of their final models."""
     from .train import train  # deferred; train depends on this module
 
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    for embeddings, _ in models:  # refuse a bad split before training
-        _target_classes(dataset, embeddings, eval_split)
+    distinct = {id(embeddings): embeddings for embeddings, _ in models}
+    targets = {key: TargetSplit(dataset, e, eval_split) for key, e in distinct.items()}
     tasks = [(embeddings, dataclasses.replace(config, seed=config.seed + r))
              for embeddings, config in models for r in range(repeats)]
 
     def score(embeddings, config):
         model = train(dataset, embeddings, config).model
-        return evaluate_zsl(model, dataset, embeddings, eval_split).normalized_accuracy
+        return evaluate_zsl(model, dataset, embeddings,
+                            targets[id(embeddings)]).normalized_accuracy
 
     def share(k, n):
         accs = []

@@ -30,13 +30,11 @@ Floats are written with repr() and therefore round-trip bit-exactly.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import json
 import os
 import pickle
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Mapping
@@ -60,6 +58,7 @@ from .errors import (
     refuse,
 )
 from .evaluate import SPLIT_NAMES, ClassSplits, SplitDataset
+from .forking import _forked
 from .model import CompatModel
 from .train import TrainConfig
 
@@ -244,6 +243,7 @@ class _Rows:
                                                 f"{self.width} value(s), got {len(values)}")
             if label in self.line_of:
                 raise ParseError(self.path, no, f"duplicate {self.kind} {label!r}")
+            self.line_of[label] = no  # noted before its values are, as in _add
             try:
                 row = np.array([[float(v) for v in values]])
             except ValueError:
@@ -252,11 +252,13 @@ class _Rows:
             self._add([label], [no], row)
 
     def _add(self, labels, nos, rows) -> None:
-        """Check the rows converted from the lines `nos`: every value finite,
-        and each norm within 1e-9 of 1 under `unit` and finite under `l2`.
-        Raise ParseError at the first row that fails, else note every label's
-        line and zero rows, and append the rows of `ids`, divided by their
-        norms under `l2`."""
+        """Note every label's line, then check the rows converted from the
+        lines `nos`: every value finite, and each norm within 1e-9 of 1 under
+        `unit` and finite under `l2`. Raise ParseError at the first row that
+        fails, else note zero rows and append the rows of `ids`, divided by
+        their norms under `l2`. A child sends the labels noted with its fault,
+        so that this process sees a label repeated before it."""
+        self.line_of.update(zip(labels, nos))
         norms = _row_norms(rows) if self.unit or self.l2 else np.ones(len(rows))
         finite = np.isfinite(rows).all(axis=1)
         if not (ok := finite & (np.abs(norms - 1.0) <= 1e-9 if self.unit
@@ -266,7 +268,6 @@ class _Rows:
                 "non-finite value (nan or inf)" if not finite[i]
                 else f"row {labels[i]!r} declared normalized but has norm {norms[i]!r}"
                 if self.unit else f"row {labels[i]!r} has a norm too large for a float"))
-        self.line_of.update(zip(labels, nos))
         self.zero += [labels[i] for i in np.flatnonzero(norms == 0.0)]  # under l2 only
         kept = (norms > 0.0) & [self.ids is None or label in self.ids for label in labels]
         if not kept.all():
@@ -277,69 +278,29 @@ class _Rows:
 
     def receive(self, part, base: int):
         """Take in the rows a child sent, their line numbers counted after
-        `base`, and return the count of lines of its part; None if the child
-        sent nothing or short, or its rows repeat a label or differ in width."""
+        `base`, and return the count of lines of its part, or raise the
+        ParseError the child met after them, at its line in the file; None if
+        the child sent nothing or short, its part holds header lines, or its
+        rows repeat a label or differ in width: faults that only this process
+        can see, and that may come before the child's."""
         try:
-            (rows, cols), count, line_of = pickle.load(part)
+            (rows, cols), end, line_of = pickle.load(part)
         except (EOFError, pickle.UnpicklingError):  # the child sent nothing
             return None
         start, self.width = len(self.matrix), self.width or cols
-        if rows and cols != self.width or not self.line_of.keys().isdisjoint(line_of):
+        if (self.skip  # header lines still to pass lie in the child's part
+                or cols not in (None, self.width)
+                or not self.line_of.keys().isdisjoint(line_of)):
             return None
         # grown in place and read into: never a second full-size matrix
-        self.matrix.resize((start + rows, self.width), refcheck=False)
+        self.matrix.resize((start + rows, self.width or 0), refcheck=False)
         if part.readinto(self.matrix[start:]) < self.matrix[start:].nbytes:
             self.matrix.resize((start, self.width), refcheck=False)
             return None
         self.line_of.update((label, base + no) for label, no in line_of.items())
-        return count
-
-
-@contextlib.contextmanager
-def _forked(parts: int, send):
-    """Yields n, the allowed CPUs up to `parts` (1 unless fork works and no
-    other thread runs), and a pipe from each child k = 1 .. n-1, pinned to its
-    own CPU, that runs send(pipe, k, n). If a pipe or a process cannot be made,
-    the children made are killed and reaped and n is 1. On leaving, all are
-    killed and reaped."""
-    cpus = (sorted(os.sched_getaffinity(0))[:parts]
-            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1 else [])
-    children = []
-
-    def reap():
-        for pid, part in children:
-            part.close()
-            os.kill(pid, 9)  # SIGKILL; importing signal would add 0.1-0.2 MB of RSS
-            os.waitpid(pid, 0)
-        children.clear()
-
-    try:
-        try:
-            for k in range(1, len(cpus)):
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    raise
-                if pid == 0:
-                    try:
-                        os.close(r)
-                        os.sched_setaffinity(0, {cpus[k]})
-                        with open(w, "wb") as out:
-                            send(out, k, len(cpus))
-                    finally:
-                        os._exit(0)
-                os.close(w)
-                children.append((pid, open(r, "rb")))
-        except OSError:  # out of processes or open files: the work is done here
-            reap()
-            cpus = []
-        yield max(len(cpus), 1), [part for _, part in children]
-    finally:
-        reap()
+        if isinstance(end, ParseError):
+            raise ParseError(self.path, base + end.line, end.message)
+        return end
 
 
 def _read_rows(path, skip: int, width: int | None, kind: str,
@@ -350,10 +311,11 @@ def _read_rows(path, skip: int, width: int | None, kind: str,
     reading order. N is `width`, or the first row's length when `width` is
     None. Then the (line, n) of a header, if `declared`, must count the rows,
     and under `l2` no row may be zero. A child converts each _forked part of
-    _MIN_PART_BYTES after the first and sends the kept rows' shape, its line
-    count, every label and the rows, or nothing if it meets a fault or a zero
-    row: this process then converts the rest of the file itself, from that
-    part on. Each process reads no byte of its parts more than twice."""
+    _MIN_PART_BYTES after the first and sends the kept rows' count and width,
+    its line count or the ParseError it met, every label and the rows, or
+    nothing if it met a zero row. Unless `receive` takes them in, this process
+    converts the rest of the file itself, from that part on. Each process
+    reads no byte of its parts more than twice."""
     body, size = _Rows(path, skip, width, kind, sep, **keep), os.path.getsize(path)
 
     def start(k, n):  # the first line start at or after byte k * size // n, k >= 1
@@ -362,9 +324,12 @@ def _read_rows(path, skip: int, width: int | None, kind: str,
 
     def send(out, k, n):  # forked before this process reads: `body` is empty
         body.skip = 0  # a header line in a later part is a fault there
-        count = body.read(start(k, n), start(k + 1, n))
+        try:
+            end = body.read(start(k, n), start(k + 1, n))
+        except ParseError as error:  # sent with the rows before its line
+            end = error
         if not body.zero:
-            pickle.dump((body.matrix.shape, count, body.line_of), out)
+            pickle.dump(((len(body.matrix), body.width), end, body.line_of), out)
             out.write(body.matrix)
 
     with _forked(size // _MIN_PART_BYTES, send) as (n, parts):

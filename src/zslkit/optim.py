@@ -13,7 +13,8 @@ per entry:
 
 Note eps sits outside the square root. `sgd_update` and `adam_update` work
 in place through one walk over row blocks; `sgd_step` and `adam_step` apply
-them to copies.
+them to copies. Adam's walk folds alpha and the corrections into two scalars
+that scale M and V, which moves its step by rounding only.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def block_rows(row_len: int) -> int:
     return max(1, ADAM_BLOCK // max(1, row_len))
 
 
-def _walk_row_blocks(params, grad, update_block, *moments) -> None:
+def _walk_row_blocks(params, grad, update_block, *moments, rows=None, done=None) -> None:
     """Update `params` and `moments` in place, `block_rows` rows at a time:
     `update_block(p, g, a, *m)` gets one block of the parameters, the
     gradient, a scratch array and the moments. g and a are reused from block
@@ -68,6 +69,9 @@ def _walk_row_blocks(params, grad, update_block, *moments) -> None:
     that writes rows [start, stop) of the gradient into `out`, a C-contiguous
     (stop - start, row length) block; it is called once per block, just
     before that block's arithmetic, so the full gradient never exists.
+    `rows`, a (start, stop) pair of a block's start and a block's end or
+    the last row, limits the walk to those rows; `done(start, stop)` is
+    called after each block's update.
     """
     n_rows = params.shape[0] if params.ndim else 1
     row_len = params.size // n_rows if n_rows else 0
@@ -91,39 +95,42 @@ def _walk_row_blocks(params, grad, update_block, *moments) -> None:
                              "float64 parameters and moments")
     P, *Ms = (a.reshape(n_rows, row_len) for a in (params, *moments))
     step = block_rows(row_len)
-    g_buf = np.empty((min(step, n_rows), row_len))
+    first, last = rows or (0, n_rows)
+    g_buf = np.empty((min(step, last - first), row_len))
     a_buf = np.empty_like(g_buf)
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
+    for start in range(first, last, step):
+        stop = min(start + step, last)
         g, a = g_buf[:stop - start], a_buf[:stop - start]
         fill(start, stop, g)
         update_block(P[start:stop], g, a, *(M[start:stop] for M in Ms))
+        if done is not None:
+            done(start, stop)
 
 
-def sgd_update(state: SgdState, params: np.ndarray, grad) -> None:
+def sgd_update(state: SgdState, params: np.ndarray, grad, **walk) -> None:
     """One SGD update in place: overwrites `params` with the bits of
     `params - alpha * grad`. `grad` is an array or a block-filling callable,
-    as for `_walk_row_blocks`."""
+    and `walk` the `rows` and `done` of `_walk_row_blocks`."""
     alpha = state.alpha
 
     def update_block(p, g, a):
         np.multiply(g, alpha, out=a)
         np.subtract(p, a, out=p)
 
-    _walk_row_blocks(params, grad, update_block)
+    _walk_row_blocks(params, grad, update_block, **walk)
 
 
-def adam_update(state: AdamState, params: np.ndarray, grad) -> None:
+def adam_update(state: AdamState, params: np.ndarray, grad, **walk) -> None:
     """One Adam update in place: overwrites `params`, `state.M` and `state.V`
     and advances `state.t`; allocates the moments if they are None. `grad`
-    is an array or a block-filling callable, as for `_walk_row_blocks`.
-    Every element goes through the operations of the module docstring in
-    their order."""
+    is an array or a block-filling callable, and `walk` the `rows` and `done`
+    of `_walk_row_blocks`. Every element goes through the operations of the
+    module docstring in their order, alpha / (1 - beta1^t) and
+    1 / (1 - beta2^t) folded into scalars."""
     if state.M is None or state.V is None:
         state.M, state.V = np.zeros_like(params), np.zeros_like(params)
-    alpha, b1, b2, eps, t = (state.alpha, state.beta1, state.beta2,
-                             state.epsilon, state.t + 1)
-    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    b1, b2, eps, t = state.beta1, state.beta2, state.epsilon, state.t + 1
+    step_size, v_scale = state.alpha / (1.0 - b1 ** t), 1.0 / (1.0 - b2 ** t)
 
     def update_block(p, g, a, m, v):
         np.multiply(m, b1, out=m)            # M = b1*M + (1-b1)*g
@@ -133,15 +140,14 @@ def adam_update(state: AdamState, params: np.ndarray, grad) -> None:
         np.multiply(a, g, out=a)
         np.multiply(v, b2, out=v)
         np.add(v, a, out=v)
-        np.divide(m, c1, out=a)              # alpha * M_hat
-        np.multiply(a, alpha, out=a)
-        np.divide(v, c2, out=g)              # sqrt(V_hat) + eps, over g
+        np.multiply(m, step_size, out=a)     # alpha * M_hat
+        np.multiply(v, v_scale, out=g)       # sqrt(V_hat) + eps, over g
         np.sqrt(g, out=g)
         np.add(g, eps, out=g)
         np.divide(a, g, out=a)
         np.subtract(p, a, out=p)
 
-    _walk_row_blocks(params, grad, update_block, state.M, state.V)
+    _walk_row_blocks(params, grad, update_block, state.M, state.V, **walk)
     state.t = t
 
 

@@ -10,6 +10,8 @@ accuracy on a disjoint validation class split.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +23,13 @@ from .errors import (
     DivergenceError,
     IncompleteCoverageError,
     SplitViolationError,
+    ZslError,
     refuse,
 )
 from .evaluate import SplitDataset, TargetSplit, evaluate_zsl
+from .forking import _forked
 from .model import CompatModel, extend_embedding
-from .optim import AdamState, SgdState, sgd_update
+from .optim import AdamState, SgdState, block_rows, sgd_update
 # The benchmark's tracer times the optimizer step, which also forms the
 # gradient blocks, at `train.adam_step`.
 from .optim import adam_update as adam_step
@@ -33,6 +37,10 @@ from .rng import component_rng
 
 INIT_SCHEMES = ("glorot_uniform", "zeros")
 OPTIMIZERS = ("adam", "sgd")
+# The fewest row blocks of W_e a process of a split sweep gets: 30-step train
+# calls at m=541 (60-row blocks, 2 vCPUs, one BLAS thread) were 7-24% slower
+# split over 3 blocks, and 8-13% faster over 4 (in 15 and 17 of 16-20 pairs).
+_MIN_SWEEP_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,12 @@ def _zero_frozen_terms(block: np.ndarray, last: int, config: TrainConfig) -> Non
         block[last, :-1] *= 0.0
 
 
+def _shared(shape) -> np.ndarray:
+    """A zeroed float64 array in anonymous shared memory, which the sweep
+    workers forked after it is made read and write in place."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+
+
 def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
           config: TrainConfig) -> TrainReport:
     """Run the SGD/Adam loop and return the early-stopped model.
@@ -142,6 +156,12 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     Validation accuracy is measured every `eval_every` iterations by zero-shot
     prediction restricted to the validation classes; the returned model is the
     snapshot at the earliest iteration attaining the best accuracy.
+
+    Each step sweeps the row blocks of W_e once, forming each block's
+    gradient rows, zeroing its frozen terms, updating it and forming its rows
+    of the next step's P = W_e @ Psi_e.T. A worker forked per call, on the
+    arrays it shares, sweeps each share of blocks but the first, one share per
+    allowed CPU of _MIN_SWEEP_BLOCKS or more; the results do not depend on it.
     """
     splits, fitted = dataset.splits, ("seen", "zsl_validation")
     refuse(SplitViolationError, splits.instance_violations(dataset.present, fitted))
@@ -154,7 +174,8 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     m = embeddings.m
     Psi_e = extend_embedding(embeddings.select(splits.seen))
 
-    W_e = init_model(d, m, config.init_scheme, config.seed).W_e
+    W_e, P, A = (_shared((d + 1, cols)) for cols in (m + 1, len(Psi_e), len(Psi_e)))
+    W_e[:] = init_model(d, m, config.init_scheme, config.seed).W_e
     _zero_frozen_terms(W_e, d, config)
 
     if config.oversample:
@@ -165,9 +186,9 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     # Read `adam_step` per call of train, so that a tracer rebinding it counts.
     if config.optimizer == "adam":
         update = adam_step
-        opt_state = AdamState.for_shape(W_e.shape, alpha=config.learning_rate,
-                                        beta1=config.beta1, beta2=config.beta2,
-                                        epsilon=config.epsilon)
+        opt_state = AdamState(alpha=config.learning_rate, beta1=config.beta1,
+                              beta2=config.beta2, epsilon=config.epsilon,
+                              M=_shared(W_e.shape), V=_shared(W_e.shape))
     else:
         update, opt_state = sgd_update, SgdState(alpha=config.learning_rate)
 
@@ -176,23 +197,46 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     best_iteration = 0
     best_accuracy = -1.0  # any accuracy beats it, so the first snapshot fills best_W_e
     best_W_e = np.empty_like(W_e)
+    step = block_rows(m + 1)
+    blocks = -(-(d + 1) // step)
 
     def fill_grad(start, stop, out):
-        """Rows [start, stop) of this iteration's gradient, frozen terms
-        zeroed; `A` is read from the loop below when called."""
+        """Rows [start, stop) of this step's gradient, frozen terms zeroed."""
         kernels.grad_rows(A, Psi_e, start, stop, out)
         _zero_frozen_terms(out, d - start, config)
 
+    def sweep(k, n):
+        """Share k of n of a step's sweep, from the A of this step."""
+        rows = (blocks * k // n * step, min(blocks * (k + 1) // n * step, d + 1))
+        update(opt_state, W_e, fill_grad, rows=rows, done=lambda start, stop:
+               kernels.class_rows(W_e, Psi_e, start, stop, P[start:stop]))
+
+    def work(pipes, k, n):
+        """A sweep worker: its share of each step, on a byte from this process."""
+        fd, out = pipes
+        while os.read(fd, 1):
+            sweep(k, n)
+            out.write(b"\1")
+            out.flush()
+
     # Overflow is reported below as a DivergenceError naming the iteration,
     # so numpy's floating-point warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            _forked(blocks // _MIN_SWEEP_BLOCKS, work, duplex=True) as (n, workers):
         for t in range(1, config.max_iterations + 1):
             batch = pool[batch_rng.integers(0, len(pool), size=config.batch_size)]
-            batch_nll, A = kernels.nll_and_grad(W_e, X[batch], label_idx[batch], Psi_e)
+            # The first step forms P itself, in the blocks of the sweep.
+            batch_nll, _ = kernels.nll_and_grad(W_e, X[batch], label_idx[batch], Psi_e,
+                                                P if t > 1 else None, A)
             if not math.isfinite(batch_nll):
                 raise DivergenceError(
                     f"training diverged at iteration {t}: batch NLL is {batch_nll!r}")
-            update(opt_state, W_e, fill_grad)
+            for _, to in workers:
+                to.write(b"\1")
+            sweep(0, n)
+            if not all(part.read(1) for part, _ in workers):
+                raise ZslError(f"training failed at iteration {t}: a sweep worker "
+                               "stopped before it updated its rows")
 
             if t % config.eval_every == 0:
                 if not np.isfinite(W_e).all():

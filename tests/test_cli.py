@@ -170,6 +170,32 @@ class TestEmbedTrainEvalFlow:
         err = capsys.readouterr().err
         assert "error" in err and splits.seen[0] in err
 
+    def test_sweep_worker_that_exits_is_one_error_line(self, experiment, monkeypatch,
+                                                      capsys):
+        """A sweep worker gone at its second step fails `train` with one
+        error line, writes no checkpoint and leaves no process behind."""
+        tmp, config = experiment
+        module = sys.modules["zslkit.train"]  # zslkit.train names the function
+        parent, step = os.getpid(), module.adam_step
+
+        def exits_at_step_2(state, *args, **kwargs):
+            if os.getpid() != parent and state.t == 1:
+                os._exit(3)
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(module, "adam_step", exits_at_step_2)
+        monkeypatch.setattr(module, "_MIN_SWEEP_BLOCKS", 1)
+        monkeypatch.setattr("zslkit.optim.ADAM_BLOCK", 1)  # a block per row of W_e
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training failed at iteration 2: a sweep worker stopped "
+            "before it updated its rows"]
+        assert not (tmp / "model.ckpt").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_missing_config_key(self, experiment, capsys):
         tmp, config = experiment
         base = config.read_text()

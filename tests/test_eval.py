@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from synthdata import block_signal_problem, linear_problem
-from zslkit import io
+from zslkit import evaluate, io
 from zslkit.embeddings import ClassEmbeddingSet
 from zslkit.errors import (
     AlignmentError,
@@ -382,7 +382,7 @@ def two_cpus():
 
 def serial(monkeypatch):
     forked = io._forked
-    monkeypatch.setattr(io, "_forked", lambda parts, send: forked(1, send))
+    monkeypatch.setattr(evaluate, "_forked", lambda parts, send: forked(1, send))
 
 
 def no_child_left():
@@ -470,7 +470,7 @@ class TestForkedGrid:
             return forked(parts, send_short)
 
         if sent is not None:
-            monkeypatch.setattr(io, "_forked", short)
+            monkeypatch.setattr(evaluate, "_forked", short)
         here = trains_here(monkeypatch, child_fails=sent is None)
         with two_cpus() as forks:
             assert run_grid("linear") == expected

@@ -1077,6 +1077,82 @@ class TestPartedConversion:
         assert pickle.dumps(loaded) == pickle.dumps(table)
         no_child_left()
 
+    ZERO = "0." + "0" * 16  # as long as LONG
+
+    @pytest.mark.parametrize("loader, lines, converted_again", [
+        (io.load_word_vectors, [f"a {LONG}", f"b {LONG}", f"c {LONG}", "d nan"], False),
+        (io.load_word_vectors, [f"a {LONG}", f"b {LONG}", f"c {LONG}", "d x"], False),
+        (io.load_word_vectors, [f"a {LONG}", f"b {LONG}", f"a {LONG}", "d nan"], True),
+        (io.load_word_vectors, [f"a {LONG}", f"b {LONG}", "a x", "d nan"], True),
+        (lambda path: io.load_features(path, l2_normalize=True),
+         ["d=1 n=4 normalized=0", f"a {LONG}", f"b {LONG}", f"c {ZERO}", "d x"], True),
+    ], ids=["nan", "non-numeric", "label-repeated-before", "label-repeated-at",
+            "zero-row-before"])
+    def test_fault_in_a_child_part_is_raised_here(self, tmp_path, loader, lines,
+                                                  converted_again):
+        """A child that meets a fault sends it with the labels of the rows up
+        to it, and this process raises it at its line in the file, converting
+        no line of the child's part; a label repeated across parts or a zero
+        row, which only this process can see, has the part converted here
+        again. Either way the error is the serial load's."""
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(ParseError) as serial:
+            loader(path)
+        text_lines, parent, read = io._text_lines, os.getpid(), []
+
+        def counted(*args):  # the lines this process reads, to convert them
+            lines = text_lines(*args)
+            while True:
+                try:
+                    no, line = next(lines)
+                except StopIteration as stop:
+                    return stop.value
+                if os.getpid() == parent:
+                    read.append(no)
+                yield no, line
+
+        with mock.patch.object(io, "_text_lines", counted), forced_parts(2) as forks, \
+                pytest.raises(ParseError) as parted:
+            loader(path)
+        assert len(forks) == 1
+        assert (parted.value.line, str(parted.value)) == (serial.value.line, str(serial.value))
+        child_part = {len(lines) - 1, len(lines)}  # the last two lines
+        assert len(lines) - 2 in read
+        assert bool(child_part & set(read)) == converted_again
+        no_child_left()
+
+    def test_child_side_of_a_fault_in_process(self, tmp_path):
+        """What a forked reader runs when its part holds a fault, run in this
+        process: it sends its rows' count and width, the ParseError at its
+        line in the part and the labels up to it, then the rows."""
+        class Exited(Exception):
+            pass
+
+        def exit_(status):
+            raise Exited(status)
+
+        kept, pipe = [], os.pipe
+
+        def kept_pipe():
+            r, w = pipe()
+            kept.append(os.dup(r))  # the child closes its read end
+            return r, w
+
+        path = tmp_path / "w.txt"
+        path.write_text(f"a {LONG}\nb {LONG}\nc {LONG}\nd x\n")
+        with forced_parts(2), mock.patch.object(os, "pipe", kept_pipe), \
+                mock.patch.object(os, "fork", lambda: 0), \
+                mock.patch.object(os, "_exit", exit_), pytest.raises(Exited):
+            io.load_word_vectors(path)
+        with open(kept[0], "rb") as sent:
+            shape, fault, line_of = pickle.load(sent)
+            rows = sent.read()
+        assert shape == (1, 1) and line_of == {"c": 1, "d": 2}
+        assert (type(fault), fault.line, fault.message) == (
+            ParseError, 2, "non-numeric value in token row")
+        assert rows == np.array([float(LONG)]).tobytes()
+
     @pytest.mark.parametrize("parts, call, failing", [
         (2, "fork", 1), (3, "fork", 1), (3, "fork", 2), (3, "pipe", 2)],
         ids=["2-first-fork", "3-first-fork", "3-second-fork", "3-second-pipe"])

@@ -147,6 +147,25 @@ class TestAdam:
 
 
 # One block; several blocks with a ragged last one; rows wider than a block.
+def folded_adam_reference(alpha, beta1, beta2, eps, params, grads):
+    """adam_reference in the operation order of the in-place update: the
+    bias corrections folded into the scalars alpha / (1 - beta1^t) and
+    1 / (1 - beta2^t) that scale the moments."""
+    rows, cols = len(params), len(params[0])
+    M = [[0.0] * cols for _ in range(rows)]
+    V = [[0.0] * cols for _ in range(rows)]
+    p = [[float(params[i][j]) for j in range(cols)] for i in range(rows)]
+    for t, G in enumerate(grads, start=1):
+        step_size, v_scale = alpha / (1.0 - beta1 ** t), 1.0 / (1.0 - beta2 ** t)
+        for i in range(rows):
+            for j in range(cols):
+                g = float(G[i][j])
+                M[i][j] = beta1 * M[i][j] + (1.0 - beta1) * g
+                V[i][j] = beta2 * V[i][j] + (1.0 - beta2) * g * g
+                p[i][j] -= M[i][j] * step_size / (math.sqrt(V[i][j] * v_scale) + eps)
+    return np.array(p), np.array(M), np.array(V)
+
+
 BLOCK_SHAPES = [(3, 4), (5, 2 * ADAM_BLOCK // 5 + 7), (2, ADAM_BLOCK + 3)]
 
 
@@ -167,7 +186,7 @@ class TestAdamUpdate:
             assert adam_update(state, p, G) is None
         ref_p, ref_M, ref_V = adam_reference(0.02, 0.9, 0.999, 1e-8, params, grads)
         for got_p, got in ((p, state), (step_p, step_state)):
-            np.testing.assert_array_equal(got_p, ref_p)
+            np.testing.assert_allclose(got_p, ref_p, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got.M, ref_M)
             np.testing.assert_array_equal(got.V, ref_V)
             assert got.t == 4
@@ -180,8 +199,32 @@ class TestAdamUpdate:
         p, state = params.copy(), AdamState.for_shape(shape, alpha=0.05)
         for G in grads:
             adam_update(state, p, G)
-        np.testing.assert_array_equal(
-            p, adam_reference(0.05, 0.9, 0.999, 1e-8, params, grads)[0])
+        np.testing.assert_allclose(
+            p, adam_reference(0.05, 0.9, 0.999, 1e-8, params, grads)[0],
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_bit_identical_to_folded_reference(self, shape):
+        # The update's own operation order, bias corrections folded into
+        # scalars, pinned bit for bit: in place on an array or on block-filled
+        # rows, and on copies.
+        rng = np.random.default_rng(9)
+        params = rng.normal(size=shape)
+        grads = [rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 4))
+                 for _ in range(4)]
+        p, filled = params.copy(), params.copy()
+        state, filled_state = (AdamState.for_shape(shape, alpha=0.02) for _ in range(2))
+        step_p, step_state = params, AdamState.for_shape(shape, alpha=0.02)
+        for G in grads:
+            adam_update(state, p, G)
+            adam_update(filled_state, filled,
+                        lambda start, stop, out, G=G: np.copyto(out, G[start:stop]))
+            step_p, step_state = adam_step(step_state, step_p, G)
+        ref_p, ref_M, ref_V = folded_adam_reference(0.02, 0.9, 0.999, 1e-8, params, grads)
+        for got_p, got in ((p, state), (filled, filled_state), (step_p, step_state)):
+            np.testing.assert_array_equal(got_p, ref_p)
+            np.testing.assert_array_equal(got.M, ref_M)
+            np.testing.assert_array_equal(got.V, ref_V)
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_block_filled_gradient_bit_identical_to_adam_step(self, shape):
@@ -201,7 +244,7 @@ class TestAdamUpdate:
                         kernels.grad_rows(A, Psi_e, start, stop, out))
         ref_p, ref_M, ref_V = adam_reference(0.02, 0.9, 0.999, 1e-8, params, grads)
         for got_p, got in ((p, state), (step_p, step_state)):
-            np.testing.assert_array_equal(got_p, ref_p)
+            np.testing.assert_allclose(got_p, ref_p, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got.M, ref_M)
             np.testing.assert_array_equal(got.V, ref_V)
 

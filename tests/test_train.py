@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
 import math
+import os
+import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from zslkit.errors import (
     DivergenceError,
     IncompleteCoverageError,
     SplitViolationError,
+    ZslError,
 )
+from zslkit.forking import _forked
 from zslkit.evaluate import ClassSplits, SplitDataset, evaluate_zsl
 from zslkit.model import extend_embedding
 from zslkit.optim import AdamState, adam_step
@@ -361,3 +367,167 @@ class TestDivergence:
         with pytest.raises(DivergenceError,
                            match=r"^training diverged at iteration 1: parameters"):
             train(dataset, embeddings, cfg)
+
+
+TRAIN = sys.modules["zslkit.train"]  # zslkit.train names the function
+
+
+@contextlib.contextmanager
+def split_sweep(cpus=(0, 1)):
+    """Training sweeps W_e split between this process and a worker per
+    further CPU of `cpus`, each process given at least one row block;
+    workers are not pinned. Yields the pids forked."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        forks.append(fork())
+        return forks[-1]
+
+    with mock.patch.object(TRAIN, "_MIN_SWEEP_BLOCKS", 1), \
+            mock.patch.object(os, "fork", spy), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(cpus)), \
+            mock.patch.object(os, "sched_setaffinity", lambda pid, cpus: None):
+        yield forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sweep_case(**config):
+    """W_e of 256 x 161 in two row blocks; the second, which holds the w_y
+    row, is the worker's share."""
+    dataset, embeddings = tiny_problem(seed=12, d=255, m=160)
+    return dataset, embeddings, TrainConfig(batch_size=4, max_iterations=12, eval_every=4,
+                                            seed=6, learning_rate=0.05, **config)
+
+
+class TestSplitSweep:
+    @LINEAR_TERMS
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_same_bits_as_one_process(self, optimizer, use_wx, use_wy):
+        case = sweep_case(optimizer=optimizer, use_wx=use_wx, use_wy=use_wy)
+        with split_sweep(cpus=(0,)) as forks:
+            serial = train(*case)
+        assert forks == []
+        with split_sweep() as forks:
+            split = train(*case)
+        assert len(forks) == 1
+        no_child_left()
+        assert split.model.W_e.tobytes() == serial.model.W_e.tobytes()
+        assert (split.records, split.best_iteration) == (serial.records, serial.best_iteration)
+
+    def test_three_processes_give_the_same_bits(self):
+        dataset, embeddings, cfg = sweep_case()
+        serial = train(dataset, embeddings, cfg)
+        with mock.patch("zslkit.optim.ADAM_BLOCK", 161 * 40), split_sweep((0, 1, 2)) as forks:
+            split = train(dataset, embeddings, cfg)  # seven blocks, three shares
+        assert len(forks) == 2
+        no_child_left()
+        np.testing.assert_array_equal(split.model.W_e, serial.model.W_e)
+
+    def test_fork_failure_sweeps_here(self):
+        case = sweep_case()
+        serial = train(*case)
+
+        def no_fork():
+            raise OSError("no process to spare")
+
+        with split_sweep(), mock.patch.object(os, "fork", no_fork):
+            split = train(*case)
+        assert split.model.W_e.tobytes() == serial.model.W_e.tobytes()
+        no_child_left()
+
+    def test_divergence_reaps_the_worker(self):
+        dataset, embeddings = tiny_problem(seed=13, d=255, m=160)
+        cfg = TrainConfig(batch_size=4, max_iterations=10, eval_every=10,
+                          seed=0, learning_rate=1e307)
+        with pytest.raises(DivergenceError) as serial:
+            train(dataset, embeddings, cfg)
+        with split_sweep() as forks, pytest.raises(DivergenceError) as split:
+            train(dataset, embeddings, cfg)
+        assert len(forks) == 1 and str(split.value) == str(serial.value)
+        assert str(split.value).startswith("training diverged at iteration ")
+        no_child_left()
+
+    def test_worker_that_exits_stops_training(self, monkeypatch):
+        """A worker gone at its second step has left its rows of W_e half
+        updated: training stops with the iteration named."""
+        parent, step = os.getpid(), TRAIN.adam_step
+
+        def exits_at_step_2(state, *args, **kwargs):
+            if os.getpid() != parent and state.t == 1:
+                os._exit(3)
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(TRAIN, "adam_step", exits_at_step_2)
+        with split_sweep() as forks, pytest.raises(ZslError, match=(
+                r"^training failed at iteration 2: a sweep worker stopped ")):
+            train(*sweep_case())
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_worker_loop_in_process(self, monkeypatch):
+        """What a forked worker runs, run in this process: pinned to its CPU,
+        it sweeps its share of W_e once per byte from the process and answers
+        each with a byte, until the pipe from the process closes."""
+        class Exited(Exception):
+            pass
+
+        def exit_(status):
+            raise Exited(status)
+
+        kept, pinned, shares = [], [], []
+        pipe, step = os.pipe, TRAIN.adam_step
+
+        def one_byte_pipes():
+            r, w = pipe()
+            if kept:  # to the worker: one step, then end of file
+                os.write(w, b"\1")
+                kept.append(r)
+            else:  # from the worker, which closes the read end
+                kept.append(os.dup(r))
+            return r, w
+
+        def spy(state, params, grad, **walk):
+            shares.append(walk["rows"])
+            return step(state, params, grad, **walk)
+
+        monkeypatch.setattr(TRAIN, "adam_step", spy)
+        with split_sweep(), mock.patch.object(os, "pipe", one_byte_pipes), \
+                mock.patch.object(os, "fork", lambda: 0), \
+                mock.patch.object(os, "_exit", exit_), \
+                mock.patch.object(os, "sched_setaffinity",
+                                  lambda pid, cpus: pinned.append((pid, cpus))):
+            with pytest.raises(Exited) as exc:
+                train(*sweep_case())
+        answers, to_worker = kept
+        os.close(to_worker)  # left open by the worker, which never exited
+        assert exc.value.args == (0,) and pinned == [(0, {1})]
+        assert shares == [(203, 256)]  # the second of two blocks of up to 203 rows
+        with open(answers, "rb") as sent:
+            assert sent.read() == b"\1"
+
+
+class TestForked:
+    def test_pins_this_process_while_children_run(self):
+        """The process runs on the first CPU while its child runs, and gets
+        its CPU mask back when the child is reaped."""
+        calls = []
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {3, 5, 7}), \
+                mock.patch.object(os, "sched_setaffinity",
+                                  lambda pid, cpus: calls.append((pid, cpus))):
+            with _forked(2, lambda out, k, n: out.write(b"done")) as (n, parts):
+                assert n == 2 and calls == [(0, {3})]
+                assert parts[0].read() == b"done"
+        assert calls == [(0, {3}), (0, {3, 5, 7})]
+        no_child_left()
+
+    def test_one_cpu_leaves_the_mask_alone(self):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), \
+                mock.patch.object(os, "sched_setaffinity", mock.Mock()) as set_mask:
+            with _forked(2, None, duplex=True) as (n, parts):
+                assert (n, parts) == (1, [])
+        set_mask.assert_not_called()
