@@ -9,8 +9,9 @@ Commands load their inputs through `_load_dataset`, `_load_embeddings` and
 `_train_config`; `validate` loads through the same functions and reports each
 failure as one violation. Each rule that spans several files (split overlaps,
 stray labels, splits without classes or instances, classes without an
-embedding, the id join, a zero-shot `eval_split`, the checkpoint) forms its
-messages in one function, so a violation is what a command prints after `error:`.
+embedding, the id join, a zero-shot `eval_split`, the checkpoint, the
+checkpoint's training classes in the split `eval` scores) forms its messages
+in one function, so a violation is what a command prints after `error:`.
 
 Exit codes: 0 success, 1 validation or data failure, 2 usage error.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from . import io
 from .embeddings import (SOURCE_ORDER, EmbeddingSources, build_class_embeddings,
                          ordered_sources)
-from .errors import AlignmentError, ConfigError, ZslError, refuse
+from .errors import AlignmentError, ConfigError, SplitViolationError, ZslError, refuse
 from .evaluate import (SPLIT_NAMES, ablate_embeddings, ablate_linear_terms,
                        eval_split_violations, evaluate_zsl)
 from .model import score_matrix
@@ -151,13 +152,22 @@ def _checkpoint_mismatches(cfg: dict, checkpoint, d, embeddings) -> list[str]:
     return out
 
 
-def _checkpoint_model(cfg: dict, d: int, embeddings):
-    """The checkpoint's model, refused unless it was trained on features of
+def _trained_class_violations(cfg: dict, checkpoint, splits, split: str) -> list[str]:
+    """One message per class of the zero-shot `split` that the checkpoint
+    was trained on; a checkpoint that names no classes passes."""
+    trained = set(checkpoint.classes)
+    return [f"class {cls!r} in split {split!r} is a training class of "
+            f"checkpoint {cfg['checkpoint']}"
+            for cls in splits.classes(split) if cls in trained]
+
+
+def _checkpoint(cfg: dict, d: int, embeddings):
+    """The checkpoint, refused unless it was trained on features of
     dimension `d` and on embeddings with the same block layout as the ones
     it is about to score."""
     checkpoint = io.load_checkpoint(cfg["checkpoint"])
     refuse(AlignmentError, _checkpoint_mismatches(cfg, checkpoint, d, embeddings))
-    return checkpoint.model
+    return checkpoint
 
 
 def cmd_embed(args) -> int:
@@ -198,10 +208,13 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     _require(cfg, ("checkpoint",), "eval")
     split = _setting(cfg, "eval_split")
+    refuse(ConfigError, eval_split_violations(split))  # `seen` would leak first
     dataset = _load_dataset(cfg, (split,))
     embeddings = _load_embeddings(cfg, dataset.splits)
-    model = _checkpoint_model(cfg, dataset.d, embeddings)
-    result = evaluate_zsl(model, dataset, embeddings, split)
+    checkpoint = _checkpoint(cfg, dataset.d, embeddings)
+    refuse(SplitViolationError,
+           _trained_class_violations(cfg, checkpoint, dataset.splits, split))
+    result = evaluate_zsl(checkpoint.model, dataset, embeddings, split)
     print(f"normalized_accuracy\t{io._fmt(result.normalized_accuracy)}")
     for cls, acc in result.per_class_accuracy.items():
         print(f"{cls}\t{io._fmt(acc)}")
@@ -228,7 +241,7 @@ def cmd_predict(args) -> int:
                                 l2_normalize=cfg.get("l2_normalize", False))
     splits = io.load_splits(cfg["splits"]) if "splits" in cfg else None
     embeddings = _load_embeddings(cfg, splits)
-    model = _checkpoint_model(cfg, features.d, embeddings)
+    model = _checkpoint(cfg, features.d, embeddings).model
     candidates = splits.classes(split) if splits is not None else embeddings.class_names
     S = score_matrix(model, features.matrix,
                      embeddings.select(candidates))
@@ -324,9 +337,10 @@ def validate_experiment(cfg: dict) -> ValidationReport:
                   for key in _SETTINGS}["eval_split"]
 
     # The rules the commands apply: train fits the seen and validation
-    # splits, and eval and ablate score the eval split.
-    if eval_split is not None:
-        violations.extend(eval_split_violations(eval_split))
+    # splits, and eval and ablate score the eval split, eval with a checkpoint
+    # trained on none of its classes.
+    zero_shot_faults = [] if eval_split is None else eval_split_violations(eval_split)
+    violations.extend(zero_shot_faults)
     if splits is not None:
         used = [s for s in SPLIT_NAMES if s in ("seen", "zsl_validation", eval_split)]
         violations.extend(splits.overlap_violations())
@@ -341,6 +355,9 @@ def validate_experiment(cfg: dict) -> ValidationReport:
     if checkpoint is not None:
         violations.extend(_checkpoint_mismatches(
             cfg, checkpoint, None if features is None else features.d, embeddings))
+        if splits is not None and eval_split is not None and not zero_shot_faults:
+            violations.extend(
+                _trained_class_violations(cfg, checkpoint, splits, eval_split))
     return ValidationReport(violations)
 
 

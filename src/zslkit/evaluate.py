@@ -249,6 +249,7 @@ def _train_and_score(dataset, models, eval_split, repeats):
     The split is checked, before the first model trains, as one TargetSplit
     per distinct embeddings, which scores each of their final models."""
     from .train import train  # deferred; train depends on this module
+    import numpy.random  # each task draws: loaded here once, not in each child
 
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")

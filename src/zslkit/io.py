@@ -5,8 +5,9 @@ diff cleanly; only model checkpoints use a compact binary layout. Only the
 newline character ends a line, and a carriage return before it is stripped;
 other line-break characters are whitespace within a line. Text files are read
 one line at a time, and a load reports the first fault in reading order. A
-numeric body is converted and checked 256 lines at a time by numpy's C text
-reader; a chunk it refuses is read again by a second reader that only moves
+numeric body is converted and checked by numpy's C text reader in chunks of
+256 lines, or fewer for wide rows, so that a chunk of more than one line
+holds at most 2**14 values; a chunk it refuses is read again by a second reader that only moves
 forward, and converted line by line with float(), so a process reads no
 byte more than twice. A load may keep only the rows of some labels, though it
 reads and checks every row. A large body is read, or written, in parts, one
@@ -68,8 +69,11 @@ _CHECKPOINT_MAGIC = b"ZSLCKPT1\n"
 _MIN_PART_BYTES = 2 << 20
 # The fewest values a written part holds: cut in two, 50k lost 5 ms, 100k won 36 ms.
 _MIN_PART_VALUES = 50_000
-# Rows converted, checked and kept at a time, and norms taken at a time.
+# Rows converted, checked and kept at a time, and norms taken at a time: at
+# most _CHUNK_ROWS rows and _CHUNK_VALUES values, but one row at least. 256
+# rows of 512 values held 2.7 MB of value text; 8 rows peaked no lower than 32.
 _CHUNK_ROWS = 256
+_CHUNK_VALUES = 1 << 14
 
 
 def _fmt(x) -> str:
@@ -155,10 +159,12 @@ def _header(path, line, usage: str) -> dict[str, int]:
 
 @dataclass
 class _Rows:
-    """A numeric body as it is converted and checked, _CHUNK_ROWS lines at a
-    time: every label's line number, in file order; the kept rows, in a matrix
-    grown in place, so that neither a header's row count nor the rows dropped
-    are ever an allocation size; and under `l2` the labels of zero rows."""
+    """A numeric body as it is converted and checked, a chunk of lines at a
+    time: _CHUNK_ROWS lines, or as many as hold _CHUNK_VALUES values of the
+    row width, at least one. Its state: every label's line number, in file
+    order; the kept rows, in a matrix grown in place, so that neither a
+    header's row count nor the rows dropped are ever an allocation size; and
+    under `l2` the labels of zero rows."""
 
     path: str | os.PathLike
     skip: int  # header lines still to pass
@@ -186,12 +192,13 @@ class _Rows:
         lines, again = numbered(), _text_lines(self.path, *bounds)
         behind = sum(1 for _ in itertools.islice(lines, self.skip))  # lines `again` must pass
         self.skip -= behind
-        for first in lines:
-            chunk = itertools.chain([first], itertools.islice(lines, _CHUNK_ROWS - 1))
+        for first in lines:  # one line a chunk while the width is unknown
+            size = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // (self.width or _CHUNK_VALUES)))
+            chunk = itertools.chain([first], itertools.islice(lines, size - 1))
             if self._convert(chunk):
-                behind += _CHUNK_ROWS
+                behind += size
                 continue
-            self._convert_lines(itertools.islice(again, behind, behind + _CHUNK_ROWS))
+            self._convert_lines(itertools.islice(again, behind, behind + size))
             behind = 0
             for _ in chunk:  # the lines numpy left
                 pass

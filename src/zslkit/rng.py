@@ -3,7 +3,11 @@
 Every random component (weight init, over-sampling, batch draws, ...) gets its
 own generator derived from the single experiment seed plus a component name,
 so changing one component's usage never perturbs the streams of the others.
+`numpy.random` loads at a process's first draw, not with zslkit: of the
+commands, only `train` and `ablate` load it.
 """
+
+from __future__ import annotations
 
 import zlib
 

@@ -204,6 +204,26 @@ class TestEmbedTrainEvalFlow:
         assert "checkpoint_out" in capsys.readouterr().err
 
 
+class TestRandomLoadsAtFirstDraw:
+    def test_only_train_loads_numpy_random(self, experiment):
+        """In a fresh interpreter, `import zslkit` and the commands that draw
+        nothing leave numpy.random unloaded; `train` then loads it."""
+        tmp, config = experiment
+        argv = eval_args(tmp, config)[1:]
+        runs = [["eval", *argv], ["predict", *argv, "--set", "predictions_out=p.tsv"],
+                ["validate", *argv], ["embed", "--config", str(config)],
+                ["train", "--config", str(config)]]
+        code = ("import json, sys, zslkit; from zslkit.cli import main\n"
+                "loaded = [(main(argv), 'numpy.random' in sys.modules)"
+                " for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps(loaded), file=sys.stderr)")
+        env = dict(os.environ, PYTHONPATH=str(Path(zslkit.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, check=True)
+        assert json.loads(done.stderr) == [[0, False]] * 4 + [[0, True]]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_byte_identical_outputs(self, experiment, optimizer):
@@ -618,6 +638,19 @@ def shared_seen_class(tmp):
                                splits.zsl_test + splits.seen[:1]))
 
 
+def seen_classes_in_test(tmp, count):
+    """The first `count` classes of [seen] moved into [zsl_test]."""
+    splits = io.load_splits(tmp / "splits.txt")
+    io.save_splits(tmp / "splits.txt", ClassSplits(
+        splits.seen[count:], splits.zsl_validation, splits.zsl_test + splits.seen[:count]))
+
+
+def training_class_in_test(tmp):
+    seen_classes_in_test(tmp, 1)
+    return (f"class 'class00' in split 'zsl_test' is a training class of "
+            f"checkpoint {tmp / 'model.ckpt'}")
+
+
 def embeddings_without(tmp, cls):
     embeddings = io.load_class_embeddings(tmp / "embeddings.txt")
     keep = [c for c in embeddings.class_names if c != cls]
@@ -842,6 +875,43 @@ class TestLayoutMismatch:
         assert f"word:0:{m}" in out[0] and "attribute:0:" in out[0]
 
 
+class TestTrainingClassesNotScored:
+    """`eval` refuses to score a checkpoint on a split that holds classes it
+    was trained on, and `validate` reports each such class of `eval_split`."""
+
+    def test_eval_and_validate_refuse_them(self, experiment, capsys):
+        tmp, config = experiment
+        assert main(["train", "--config", str(config)]) == 0
+        seen_classes_in_test(tmp, 3)
+        argv = ["--config", str(config), "--set", f"checkpoint={tmp / 'model.ckpt'}"]
+        capsys.readouterr()
+        assert main(["eval", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        messages = [f"class 'class0{k}' in split 'zsl_test' is a training class of "
+                    f"checkpoint {tmp / 'model.ckpt'}" for k in range(3)]
+        assert captured.err == f"error: {messages[0]}\n"
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out.splitlines() == messages
+
+    def test_checkpoint_without_classes_passes(self, experiment, capsys):
+        tmp, config = experiment
+        argv = eval_args(tmp, config)
+        rewrite_checkpoint_meta(tmp, lambda meta: {k: v for k, v in meta.items()
+                                                   if k != "classes"})
+        seen_classes_in_test(tmp, 1)
+        assert main(argv) == 0
+        assert main(["validate", *argv[1:]]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "OK"
+
+    def test_predict_is_exempt(self, experiment, capsys):
+        tmp, config = experiment
+        argv = eval_args(tmp, config)
+        seen_classes_in_test(tmp, 1)
+        assert main(["predict", *argv[1:], "--set", "predictions_out=p.tsv"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def case(command, corrupt, *settings):
     """`corrupt(tmp)` edits the inputs and returns the text both errors must
     contain; a string is that text, for a case set by --set alone."""
@@ -913,6 +983,7 @@ class TestValidateAgreement:
             checkpoint_meta_negative_shape, checkpoint_meta_infinite_dimension,
             nan_checkpoint_entry, checkpoint_of_other_d)),
         case("predict", checkpoint_of_other_d, EMBEDDINGS, CHECKPOINT),
+        case("eval", training_class_in_test, EMBEDDINGS, CHECKPOINT),
         case("eval", negative_embedding_dimension, EMBEDDINGS, CHECKPOINT),
     ])
     def test_validate_fails_where_command_fails(self, experiment, capsys,

@@ -838,6 +838,62 @@ class TestRowReaders:
                 assert io.load_features(path).matrix[row, -1] == 10.0
         assert 0 < len(calls) <= io._CHUNK_ROWS * 3
 
+    @pytest.mark.parametrize("loader, sep, header", ROW_FORMATS,
+                             ids=["features", "word_vectors", "class_embeddings"])
+    @pytest.mark.parametrize("width", [3, 64, 2048])
+    def test_chunk_holds_a_bounded_count_of_values(self, tmp_path, monkeypatch,
+                                                   loader, sep, header, width):
+        """Each np.loadtxt call converts at most _CHUNK_ROWS rows, and no more
+        than hold _CHUNK_VALUES values; the first of a file without a width
+        in its header holds one row. With the bound lifted, the same loads
+        give the same bits."""
+        path, n = wide_rows(tmp_path, width, sep, header)
+        counts, loadtxt = [], np.loadtxt
+
+        def counted(*args, **kwargs):
+            rows = loadtxt(*args, **kwargs)
+            counts.append(len(rows))
+            return rows
+
+        with mock.patch.object(io.np, "loadtxt", counted):
+            expected = loaded_rows(loader, path)
+        bound = max(1, min(io._CHUNK_ROWS, io._CHUNK_VALUES // width))
+        assert sum(counts) == n and max(counts) == bound
+        monkeypatch.setattr(io, "_CHUNK_VALUES", 1 << 40)
+        assert loaded_rows(loader, path) == expected
+
+    @pytest.mark.parametrize("token", ["x", "1_0"])
+    def test_bad_wide_row_is_converted_for_one_chunk(self, tmp_path, token):
+        """A bad token in the last of 40 rows of 2048 values sends at most
+        one chunk of _CHUNK_VALUES // 2048 rows through float()."""
+        path, n = wide_rows(tmp_path, 2048, "", ROW_FORMATS[0][2])
+        lines = path.read_text().splitlines()
+        lines[n] = lines[n].rsplit(" ", 1)[0] + f" {token}"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        with mock.patch.object(io, "float", lambda v: calls.append(v) or float(v),
+                               create=True):
+            if token == "x":
+                with pytest.raises(ParseError, match=f":{n + 1}: non-numeric value"):
+                    io.load_features(path)
+            else:
+                assert io.load_features(path).matrix[-1, -1] == 10.0
+        assert 0 < len(calls) <= io._CHUNK_VALUES
+
+
+def wide_rows(tmp_path, width, sep, header):
+    """A file of rows `width` values wide, with its header: 40 rows at width
+    2048, else 600; values of three decimals keep it under _MIN_PART_BYTES,
+    so that this process converts every row. Returns the path and row count."""
+    n = 40 if width >= 2048 else 600
+    rows = np.round(np.random.default_rng(width).normal(size=(n, width)), 3)
+    path = tmp_path / "rows.txt"
+    path.write_text(header(n, width) + "".join(
+        f"w{k}{sep or ' '}{' '.join(map(repr, row.tolist()))}\n"
+        for k, row in enumerate(rows)), encoding="utf-8")
+    assert path.stat().st_size < io._MIN_PART_BYTES
+    return path, n
+
 
 def refuse_chunk(*args, **kwargs):
     """np.loadtxt refusing every chunk, which is then converted line by line."""
