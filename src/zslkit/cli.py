@@ -29,7 +29,8 @@ import numpy as np
 from . import io
 from .embeddings import (SOURCE_ORDER, EmbeddingSources, build_class_embeddings,
                          ordered_sources)
-from .errors import AlignmentError, ConfigError, SplitViolationError, ZslError, refuse
+from .errors import (AlignmentError, ConfigError, NonFiniteScoreError, SplitViolationError,
+                     ZslError, refuse)
 from .evaluate import (SPLIT_NAMES, ablate_embeddings, ablate_linear_terms,
                        eval_split_violations, evaluate_zsl)
 from .model import score_matrix
@@ -161,6 +162,22 @@ def _trained_class_violations(cfg: dict, checkpoint, splits, split: str) -> list
             for cls in splits.classes(split) if cls in trained]
 
 
+def _score_fault(cfg: dict, split: str, error: NonFiniteScoreError) -> str:
+    """What `eval` and `validate` print when the checkpoint's class factor or
+    scores on `split` are not finite."""
+    return f"checkpoint {cfg['checkpoint']} on split {split!r}: {error}"
+
+
+def _factor_violations(cfg: dict, model, classes, split: str) -> list[str]:
+    """The refusal `eval` meets first if the model's class factor on the
+    classes of `split` is not finite, found by scoring no rows."""
+    try:
+        score_matrix(model, np.empty((0, model.d)), classes)
+    except NonFiniteScoreError as error:
+        return [_score_fault(cfg, split, error)]
+    return []
+
+
 def _checkpoint(cfg: dict, d: int, embeddings):
     """The checkpoint, refused unless it was trained on features of
     dimension `d` and on embeddings with the same block layout as the ones
@@ -214,11 +231,14 @@ def cmd_eval(args) -> int:
     checkpoint = _checkpoint(cfg, dataset.d, embeddings)
     refuse(SplitViolationError,
            _trained_class_violations(cfg, checkpoint, dataset.splits, split))
-    result = evaluate_zsl(checkpoint.model, dataset, embeddings, split)
+    try:
+        result = evaluate_zsl(checkpoint.model, dataset, embeddings, split)
+    except NonFiniteScoreError as error:
+        raise NonFiniteScoreError(_score_fault(cfg, split, error)) from None
     print(f"normalized_accuracy\t{io._fmt(result.normalized_accuracy)}")
     for cls, acc in result.per_class_accuracy.items():
         print(f"{cls}\t{io._fmt(acc)}")
-    if "report_out" in cfg:
+    if "eval_report_out" in cfg:
         confusion: dict[str, dict[str, int]] = {}
         for (true, pred), count in sorted(result.confusion.items()):
             confusion.setdefault(true, {})[pred] = count
@@ -228,7 +248,7 @@ def cmd_eval(args) -> int:
             "per_class_accuracy": result.per_class_accuracy,
             "confusion": confusion,
         }
-        Path(cfg["report_out"]).write_text(
+        Path(cfg["eval_report_out"]).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return 0
 
@@ -353,11 +373,17 @@ def validate_experiment(cfg: dict) -> ValidationReport:
     if features is not None and labels is not None:
         violations.extend(io.join_violations(features.file_ids, labels))
     if checkpoint is not None:
-        violations.extend(_checkpoint_mismatches(
-            cfg, checkpoint, None if features is None else features.d, embeddings))
+        mismatches = _checkpoint_mismatches(
+            cfg, checkpoint, None if features is None else features.d, embeddings)
+        violations.extend(mismatches)
         if splits is not None and eval_split is not None and not zero_shot_faults:
             violations.extend(
                 _trained_class_violations(cfg, checkpoint, splits, eval_split))
+            classes = splits.classes(eval_split)
+            if (embeddings is not None and classes and not mismatches
+                    and not splits.coverage_violations(embeddings, (eval_split,))):
+                violations.extend(_factor_violations(
+                    cfg, checkpoint.model, embeddings.select(classes), eval_split))
     return ValidationReport(violations)
 
 

@@ -82,5 +82,10 @@ class DivergenceError(ZslError):
     the iteration."""
 
 
+class NonFiniteScoreError(ZslError):
+    """A model's class factor W_e @ Psi_e.T or its scores overflowed to inf
+    or nan, though every input was finite."""
+
+
 class ConfigError(ZslError):
     """An experiment config contains unknown keys or unparseable values."""

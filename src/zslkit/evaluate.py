@@ -26,8 +26,8 @@ from .errors import (
     ZslError,
     refuse,
 )
-from .forking import _forked
-from .model import CompatModel, score_matrix
+from .forking import _forked, one_blas_thread
+from .model import CompatModel, factor_scores, score_matrix
 
 SPLIT_NAMES = ("seen", "zsl_validation", "zsl_test")
 
@@ -200,21 +200,26 @@ class TargetSplit:
         self.order = np.array(list(dict.fromkeys(self.label_idx.tolist())), dtype=np.int64)
         self.totals = np.bincount(self.label_idx)[self.order]
 
-    def accuracy(self, model: CompatModel) -> float:
-        """normalized_accuracy of the model's predictions, counted by index."""
-        S = score_matrix(model, self.features[self.rows], self.Psi)
+    def accuracy(self, model: CompatModel | np.ndarray) -> float:
+        """normalized_accuracy of the predictions, counted by index, of a
+        model or of the class factor P = W_e @ Psi_e.T of the split's
+        classes, which train's sweep forms."""
+        X = self.features[self.rows]
+        S = (score_matrix(model, X, self.Psi) if isinstance(model, CompatModel)
+             else factor_scores(X, model))
         hits = self.label_idx[np.argmax(S, axis=1) == self.label_idx]
         counts = np.bincount(hits, minlength=len(self.Psi))
         return float(np.mean(counts[self.order] / self.totals))
 
 
-def evaluate_zsl(model: CompatModel, dataset: SplitDataset, embeddings: ClassEmbeddingSet,
-                 target_split: str | TargetSplit) -> EvalResult:
+def evaluate_zsl(model: CompatModel | np.ndarray, dataset: SplitDataset,
+                 embeddings: ClassEmbeddingSet, target_split: str | TargetSplit) -> EvalResult:
     """Predict every instance of the target split among that split's classes
     only, then score with normalized accuracy. `target_split` names the split,
     or is a TargetSplit of `dataset` and `embeddings` built once for many
-    models, as for train's snapshots: then only the accuracy is counted, and
-    the result's two dicts are empty."""
+    models, as for train's snapshots: then only the accuracy is counted, the
+    result's two dicts are empty, and `model` may be the split's class factor
+    (see `TargetSplit.accuracy`)."""
     if isinstance(target_split, TargetSplit):
         return EvalResult(target_split.accuracy(model), {}, {})
     classes = _target_classes(dataset, embeddings, target_split)
@@ -271,19 +276,20 @@ def _train_and_score(dataset, models, eval_split, repeats):
             return accs, error
         return accs, None
 
-    with _forked(len(tasks), lambda out, k, n: pickle.dump(share(k, n), out)) as (n, parts):
-        shares = [share(0, n)]
-        for part in parts:
-            try:
-                shares.append(pickle.load(part))
-            except (EOFError, pickle.UnpicklingError):  # the child sent nothing or short
-                shares.append(([], None))
-    accs = []
-    for i, task in enumerate(tasks):
-        done, error = shares[i % n]
-        if i // n == len(done) and error is not None:
-            raise error
-        accs.append(done[i // n] if i // n < len(done) else score(*task))
+    with one_blas_thread():
+        with _forked(len(tasks), lambda out, k, n: pickle.dump(share(k, n), out)) as (n, parts):
+            shares = [share(0, n)]
+            for part in parts:
+                try:
+                    shares.append(pickle.load(part))
+                except (EOFError, pickle.UnpicklingError):  # the child sent nothing or short
+                    shares.append(([], None))
+        accs = []
+        for i, task in enumerate(tasks):
+            done, error = shares[i % n]
+            if i // n == len(done) and error is not None:
+                raise error
+            accs.append(done[i // n] if i // n < len(done) else score(*task))
     return [(float(np.mean(accs[j:j + repeats])),
              float(np.std(accs[j:j + repeats])) if repeats > 1 else None)
             for j in range(0, len(accs), repeats)]

@@ -3,13 +3,62 @@
 `io` reads and writes large text bodies in parts, `evaluate` trains the models
 of an ablation grid as tasks, and `train` sweeps the row blocks of W_e, each
 through `_forked`.
+
+Since zslkit shares out its work between processes itself, `train` and the
+ablation grids run BLAS on one thread (`one_blas_thread`): a threaded BLAS
+would compete with the other processes, and its products would change by
+rounding with the CPUs it finds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import threading
+
+# The (set, get) thread-count functions of the OpenBLAS builds numpy ships
+# (its 2.x and 1.x wheels) or links.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """The (set, get) thread-count functions of the BLAS numpy calls, found
+    through a numpy extension that links it, or None."""
+    import ctypes
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for set_name, get_name in _BLAS_SYMBOLS:
+        if hasattr(lib, set_name) and hasattr(lib, get_name):
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """BLAS on one thread for the span, in this process and in the children
+    it forks, then the caller's count again. With a BLAS that has no such
+    call (not OpenBLAS), nothing changes."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 @contextlib.contextmanager

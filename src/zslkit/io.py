@@ -696,7 +696,7 @@ _PATH_KEYS = (
     "taxonomy", "leaf_map", "word_vectors",
     "embeddings", "embeddings_out",
     "checkpoint", "checkpoint_out",
-    "report_out", "predictions_out",
+    "report_out", "eval_report_out", "predictions_out",
 )
 
 def _parse_bool(raw: str) -> bool:

@@ -34,11 +34,16 @@ def _by_blocks(rows, left, Psi_e, cols):
     return out
 
 
+def class_factor(W_e, Psi_e):
+    """P = W_e @ Psi_e.T, formed by `class_rows` in the row blocks of W_e."""
+    return _by_blocks(class_rows, W_e, Psi_e, len(Psi_e))
+
+
 def scores(W_e, Phi, Psi_e, P=None):
     """(B, K) scores of plain rows Phi (B, d) against extended classes Psi_e,
-    from P = W_e @ Psi_e.T as `class_rows` forms it, or from the P given."""
+    from their `class_factor` P, or from the P given."""
     if P is None:
-        P = _by_blocks(class_rows, W_e, Psi_e, len(Psi_e))
+        P = class_factor(W_e, Psi_e)
     S = Phi @ P[:-1]
     S += P[-1]
     return S

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import EmptyClassSetError, ShapeMismatchError, UnseenLabelError
+from .errors import (EmptyClassSetError, NonFiniteScoreError, ShapeMismatchError,
+                     UnseenLabelError)
 
 
 @dataclass
@@ -104,15 +105,31 @@ def score(model: CompatModel, phi: np.ndarray, psi: np.ndarray) -> float:
     return float(phi @ model.W @ psi + model.w_x @ phi + model.w_y @ psi + model.b)
 
 
+def factor_scores(Phi: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(B, K) scores of plain rows Phi from a class factor P, through
+    `kernels.scores`, the function the training kernel scores through;
+    refused with a NonFiniteScoreError unless P and every score are finite."""
+    if not np.isfinite(P).all():
+        raise NonFiniteScoreError("class factor W_e @ Psi_e.T is not finite (nan or inf)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = kernels.scores(None, Phi, None, P)
+    if not np.isfinite(S).all():
+        raise NonFiniteScoreError("scores are not finite (nan or inf)")
+    return S
+
+
 def score_matrix(model: CompatModel, Phi: np.ndarray, classes) -> np.ndarray:
-    """(B, K) score matrix for a stack of image embeddings, from
-    `kernels.scores`, the function the training kernel scores through."""
+    """(B, K) score matrix for a stack of image embeddings, through
+    `factor_scores` from the class factor P = W_e @ Psi_e.T, formed in the
+    row blocks that training forms it in; scoring no rows checks P alone."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[1] != model.d:
         raise ShapeMismatchError(
             f"Phi has shape {Phi.shape}, expected (n, {model.d})")
-    return kernels.scores(model.W_e, Phi,
-                          extend_embedding(_class_matrix(classes, model.m)))
+    Psi_e = extend_embedding(_class_matrix(classes, model.m))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in factor_scores
+        P = kernels.class_factor(model.W_e, Psi_e)
+    return factor_scores(Phi, P)
 
 
 def _check_batch(model, Phi, labels, classes):

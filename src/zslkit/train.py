@@ -22,12 +22,13 @@ from .errors import (
     ConfigError,
     DivergenceError,
     IncompleteCoverageError,
+    NonFiniteScoreError,
     SplitViolationError,
     ZslError,
     refuse,
 )
 from .evaluate import SplitDataset, TargetSplit, evaluate_zsl
-from .forking import _forked
+from .forking import _forked, one_blas_thread
 from .model import CompatModel, extend_embedding
 from .optim import AdamState, SgdState, block_rows, sgd_update
 # The benchmark's tracer times the optimizer step, which also forms the
@@ -41,6 +42,10 @@ OPTIMIZERS = ("adam", "sgd")
 # calls at m=541 (60-row blocks, 2 vCPUs, one BLAS thread) were 7-24% slower
 # split over 3 blocks, and 8-13% faster over 4 (in 15 and 17 of 16-20 pairs).
 _MIN_SWEEP_BLOCKS = 2
+# The commands of a split sweep, one byte each from this process to a worker,
+# which runs it on its rows and answers with one byte: _REFUSED when its rows
+# are not finite, else _STEP.
+_STEP, _INIT, _CHECK, _KEEP, _REFUSED = b"\1", b"\2", b"\3", b"\4", b"\0"
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,22 @@ def init_model(d: int, m: int, scheme: str = "glorot_uniform",
         return CompatModel.zeros(d, m)
     if scheme != "glorot_uniform":
         raise ConfigError(f"init_scheme must be one of {INIT_SCHEMES}, got {scheme!r}")
-    bound = np.sqrt(6.0 / (d + 1 + m + 1))
-    rng = component_rng(seed, "init")
-    return CompatModel(rng.uniform(-bound, bound, size=(d + 1, m + 1)))
+    W_e = np.empty((d + 1, m + 1))
+    _draw_rows(W_e, 0, d + 1, seed)
+    return CompatModel(W_e)
+
+
+def _draw_rows(W_e: np.ndarray, start: int, stop: int, seed: int) -> None:
+    """Write rows [start, stop) of the glorot_uniform draw into W_e, one
+    row block at a time. Each entry takes one draw of the stream, so the
+    stream skips the entries of the rows before and the bits do not depend
+    on how the rows are shared out."""
+    rng, cols = component_rng(seed, "init"), W_e.shape[1]
+    bound, step = np.sqrt(6.0 / sum(W_e.shape)), block_rows(cols)
+    rng.bit_generator.advance(start * cols)
+    for first in range(start, stop, step):
+        block = W_e[first:min(first + step, stop)]
+        block[:] = rng.uniform(-bound, bound, size=block.shape)
 
 
 def oversample_indices(labels, seed: int = 0) -> np.ndarray:
@@ -159,24 +177,42 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
 
     Each step sweeps the row blocks of W_e once, forming each block's
     gradient rows, zeroing its frozen terms, updating it and forming its rows
-    of the next step's P = W_e @ Psi_e.T. A worker forked per call, on the
-    arrays it shares, sweeps each share of blocks but the first, one share per
-    allowed CPU of _MIN_SWEEP_BLOCKS or more; the results do not depend on it.
+    of the next step's P = W_e @ Psi_e.T. The blocks are shared out, one
+    share per allowed CPU of _MIN_SWEEP_BLOCKS or more: this process owns the
+    first and a worker forked per call owns each other. W_e, the moments, P,
+    the gradient factor A, the validation classes' P and the best snapshot
+    live in shared memory, and each owner alone reads and writes its rows of
+    W_e and the moments: it draws them, sweeps them, checks them finite and
+    forms their rows of the validation P at each snapshot, and copies them
+    into the best snapshot. This process scores each snapshot from that P,
+    and copies the best snapshot into private memory once the rest is
+    released. The results do not depend on the share-out. BLAS runs on one
+    thread throughout (`forking.one_blas_thread`).
     """
     splits, fitted = dataset.splits, ("seen", "zsl_validation")
     refuse(SplitViolationError, splits.instance_violations(dataset.present, fitted))
     refuse(IncompleteCoverageError, splits.coverage_violations(embeddings, fitted))
     validation = TargetSplit(dataset, embeddings, "zsl_validation")
+    with one_blas_thread():
+        records, best_iteration, best_accuracy, best = _fit(
+            dataset, embeddings, config, validation)
+        return TrainReport(records, best_iteration, best_accuracy, CompatModel(best.copy()))
 
+
+def _fit(dataset, embeddings, config, validation):
+    """The training loop of `train`: its records, best iteration and
+    accuracy, and the best snapshot in shared memory. Every other shared
+    array is released when this returns."""
     X, label_idx = dataset.subset("seen")
 
     d = dataset.d
     m = embeddings.m
-    Psi_e = extend_embedding(embeddings.select(splits.seen))
+    Psi_e = extend_embedding(embeddings.select(dataset.splits.seen))
+    Psi_val_e = extend_embedding(validation.Psi)
 
-    W_e, P, A = (_shared((d + 1, cols)) for cols in (m + 1, len(Psi_e), len(Psi_e)))
-    W_e[:] = init_model(d, m, config.init_scheme, config.seed).W_e
-    _zero_frozen_terms(W_e, d, config)
+    W_e, best = _shared((d + 1, m + 1)), _shared((d + 1, m + 1))
+    P, A = _shared((d + 1, len(Psi_e))), _shared((d + 1, len(Psi_e)))
+    P_val = _shared((d + 1, len(Psi_val_e)))
 
     if config.oversample:
         pool = oversample_indices(label_idx, config.seed)
@@ -195,8 +231,7 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
     batch_rng = component_rng(config.seed, "batch")
     records: list[EvalRecord] = []
     best_iteration = 0
-    best_accuracy = -1.0  # any accuracy beats it, so the first snapshot fills best_W_e
-    best_W_e = np.empty_like(W_e)
+    best_accuracy = -1.0  # any accuracy beats it, so the first snapshot fills best
     step = block_rows(m + 1)
     blocks = -(-(d + 1) // step)
 
@@ -205,51 +240,85 @@ def train(dataset: SplitDataset, embeddings: ClassEmbeddingSet,
         kernels.grad_rows(A, Psi_e, start, stop, out)
         _zero_frozen_terms(out, d - start, config)
 
-    def sweep(k, n):
-        """Share k of n of a step's sweep, from the A of this step."""
-        rows = (blocks * k // n * step, min(blocks * (k + 1) // n * step, d + 1))
-        update(opt_state, W_e, fill_grad, rows=rows, done=lambda start, stop:
-               kernels.class_rows(W_e, Psi_e, start, stop, P[start:stop]))
+    def factor_rows(Psi, out, start, stop):
+        """Rows [start, stop) of W_e @ Psi.T into `out`, block by block."""
+        for first in range(start, stop, step):
+            last = min(first + step, stop)
+            kernels.class_rows(W_e, Psi, first, last, out[first:last])
+
+    def init(start, stop):
+        """The owned rows of the initial W_e and of the first step's P."""
+        if config.init_scheme == "glorot_uniform":
+            _draw_rows(W_e, start, stop, config.seed)
+        _zero_frozen_terms(W_e[start:stop], d - start, config)
+        factor_rows(Psi_e, P, start, stop)
+
+    def sweep(start, stop):
+        """The owned rows of one step, from the A of this step."""
+        update(opt_state, W_e, fill_grad, rows=(start, stop), done=lambda first, last:
+               kernels.class_rows(W_e, Psi_e, first, last, P[first:last]))
+
+    def check(start, stop):
+        """Whether the owned rows are finite; if so, their rows of the
+        validation classes' P."""
+        if not np.isfinite(W_e[start:stop]).all():
+            return _REFUSED
+        factor_rows(Psi_val_e, P_val, start, stop)
+
+    def keep(start, stop):
+        np.copyto(best[start:stop], W_e[start:stop])
+
+    actions = {_STEP: sweep, _INIT: init, _CHECK: check, _KEEP: keep}
+
+    def act(command, k, n):
+        """Run `command` on the rows of owner k of n; the answer, a byte."""
+        start, stop = blocks * k // n * step, min(blocks * (k + 1) // n * step, d + 1)
+        return actions[command](start, stop) or _STEP
 
     def work(pipes, k, n):
-        """A sweep worker: its share of each step, on a byte from this process."""
+        """A worker: each byte from this process is a command on its rows."""
         fd, out = pipes
-        while os.read(fd, 1):
-            sweep(k, n)
-            out.write(b"\1")
+        while command := os.read(fd, 1):
+            out.write(act(command, k, n))
             out.flush()
+
+    def run(command, t):
+        """Every owner runs `command` on its rows; False if one of them found
+        its rows not finite."""
+        for _, to in workers:
+            to.write(command)
+        answers = [act(command, 0, n), *(part.read(1) for part, _ in workers)]
+        if not all(answers):
+            raise ZslError(f"training failed at iteration {t}: a sweep worker "
+                           "stopped before it updated its rows")
+        return _REFUSED not in answers
 
     # Overflow is reported below as a DivergenceError naming the iteration,
     # so numpy's floating-point warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"), \
             _forked(blocks // _MIN_SWEEP_BLOCKS, work, duplex=True) as (n, workers):
+        run(_INIT, 0)
         for t in range(1, config.max_iterations + 1):
             batch = pool[batch_rng.integers(0, len(pool), size=config.batch_size)]
-            # The first step forms P itself, in the blocks of the sweep.
-            batch_nll, _ = kernels.nll_and_grad(W_e, X[batch], label_idx[batch], Psi_e,
-                                                P if t > 1 else None, A)
+            batch_nll, _ = kernels.nll_and_grad(W_e, X[batch], label_idx[batch], Psi_e, P, A)
             if not math.isfinite(batch_nll):
                 raise DivergenceError(
                     f"training diverged at iteration {t}: batch NLL is {batch_nll!r}")
-            for _, to in workers:
-                to.write(b"\1")
-            sweep(0, n)
-            if not all(part.read(1) for part, _ in workers):
-                raise ZslError(f"training failed at iteration {t}: a sweep worker "
-                               "stopped before it updated its rows")
+            run(_STEP, t)
 
             if t % config.eval_every == 0:
-                if not np.isfinite(W_e).all():
+                if not run(_CHECK, t):
                     raise DivergenceError(
                         f"training diverged at iteration {t}: parameters are not finite")
-                # Scored in place: evaluate_zsl only reads the model.
-                acc = evaluate_zsl(CompatModel(W_e), dataset, embeddings,
-                                   validation).normalized_accuracy
+                try:
+                    acc = evaluate_zsl(P_val, dataset, embeddings,
+                                       validation).normalized_accuracy
+                except NonFiniteScoreError as error:
+                    raise DivergenceError(
+                        f"training diverged at iteration {t}: validation {error}") from None
                 records.append(EvalRecord(t, batch_nll, acc))
                 if acc > best_accuracy:
                     best_accuracy = acc
                     best_iteration = t
-                    np.copyto(best_W_e, W_e)
-
-    return TrainReport(records, best_iteration, best_accuracy,
-                       CompatModel(best_W_e))
+                    run(_KEEP, t)
+    return records, best_iteration, best_accuracy, best

@@ -10,10 +10,11 @@ import pytest
 
 import zslkit
 from synthdata import block_signal_problem, write_experiment_files
-from zslkit import io
+from zslkit import cli, io
 from zslkit.cli import main, validate_experiment
 from zslkit.embeddings import ClassEmbeddingSet
-from zslkit.evaluate import ClassSplits
+from zslkit.errors import NonFiniteScoreError
+from zslkit.evaluate import ClassSplits, evaluate_zsl
 from zslkit.model import CompatModel
 
 
@@ -26,6 +27,14 @@ def class_embedding_overflows(tmp):
     huge = " ".join(["1e308"] * (len(words[0].split()) - 1))
     words = [f"class08 {huge}" if w.startswith("class08 ") else w for w in words]
     (tmp / "word_vectors.txt").write_text("\n".join([*words, f"big {huge}"]) + "\n")
+
+
+def huge_word_vectors(path, classes):
+    """The word vectors of `classes` set to 1e308, a finite value that every
+    loader and ClassEmbeddingSet accept."""
+    words = [line.split(" ") for line in path.read_text().splitlines()]
+    path.write_text("".join(" ".join([w[0]] + ["1e308"] * (len(w) - 1) if w[0] in classes
+                                     else w) + "\n" for w in words))
 
 
 @pytest.fixture()
@@ -202,6 +211,88 @@ class TestEmbedTrainEvalFlow:
         config.write_text(base.replace("checkpoint_out=model.ckpt\n", ""))
         assert main(["train", "--config", str(config)]) == 1
         assert "checkpoint_out" in capsys.readouterr().err
+
+
+    def test_eval_report_leaves_the_training_report(self, experiment):
+        """`train` writes `report_out` and `eval`, on the same config,
+        `eval_report_out`."""
+        tmp, config = experiment
+        assert main(["train", "--config", str(config)]) == 0
+        trained = (tmp / "report.json").read_bytes()
+        assert main(["eval", "--config", str(config), "--set", CHECKPOINT,
+                     "--set", "eval_report_out=eval.json"]) == 0
+        assert (tmp / "report.json").read_bytes() == trained
+        assert set(json.loads(trained)) == {"best_accuracy", "best_iteration", "records"}
+        assert json.loads((tmp / "eval.json").read_text())["split"] == "zsl_test"
+
+
+class TestNonFiniteScores:
+    """The tiny train-wide benchmark set with its own trained checkpoint, and
+    word vectors of 1e308 for class32-class35, four of its eight zsl_test
+    classes: the class factor overflows, and the scores are refused."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("train-wide")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(Path(zslkit.__file__).parents[1]))
+        subprocess.run([sys.executable, str(root / "perfbench" / "generate.py"),
+                        "--workload", "train-wide", "--tiny", "--seed", "0",
+                        "--workdir", str(tmp / "inputs"), "--out", str(tmp / "setup.json")],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        config = tmp / "inputs" / "config.txt"
+        assert main(["train", "--config", str(config)]) == 0
+        assert main(["eval", "--config", str(config), "--set", CHECKPOINT]) == 0
+        huge_word_vectors(tmp / "inputs" / "word_vectors.txt",
+                          ("class32", "class33", "class34", "class35"))
+        return config
+
+    def message(self, config):
+        return (f"checkpoint {config.parent / 'model.ckpt'} on split 'zsl_test': "
+                f"class factor W_e @ Psi_e.T is not finite (nan or inf)")
+
+    def test_eval_and_validate_print_one_line(self, overflowing, capsys):
+        capsys.readouterr()
+        argv = ["--config", str(overflowing), "--set", CHECKPOINT]
+        assert main(["eval", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {self.message(overflowing)}\n")
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr() == (f"{self.message(overflowing)}\n", "")
+
+    def test_evaluate_zsl_refuses(self, overflowing):
+        cfg = io.resolve_config_paths(io.load_config(overflowing), overflowing.parent)
+        dataset = io.load_dataset(cfg["features"], cfg["labels"], cfg["splits"])
+        embeddings = cli._load_embeddings(cfg, dataset.splits)
+        model = io.load_checkpoint(overflowing.parent / "model.ckpt").model
+        with pytest.raises(NonFiniteScoreError, match=(
+                r"^class factor W_e @ Psi_e.T is not finite \(nan or inf\)$")):
+            evaluate_zsl(model, dataset, embeddings, "zsl_test")
+
+
+class TestBlasThreads:
+    def test_train_writes_the_same_bytes_whatever_the_blas_threads(self, tmp_path):
+        """`train` on a W_e of several row blocks, run with the BLAS thread
+        variables unset (a threaded OpenBLAS) and set to 1, on every CPU and
+        on one, writes the same checkpoint and report."""
+        dataset, sources = block_signal_problem(seed=2, n_classes=40, n_seen=24, n_val=8,
+                                                d=1023, word_dim=380, per_class=5)
+        config = write_experiment_files(tmp_path, dataset, sources, config_extra={
+            "max_iterations": 20, "eval_every": 10, "batch_size": 100,
+            "learning_rate": 0.01})
+        unset = {key: value for key, value in os.environ.items()
+                 if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        unset["PYTHONPATH"] = str(Path(zslkit.__file__).parents[1])
+        first_cpu = min(os.sched_getaffinity(0))
+        outputs = set()
+        for threads in (None, "1"):
+            env = dict(unset, **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+            for pin in (None, lambda: os.sched_setaffinity(0, {first_cpu})):
+                subprocess.run([sys.executable, "-m", "zslkit.cli", "train",
+                                "--config", str(config)], env=env, preexec_fn=pin,
+                               stdout=subprocess.DEVNULL, check=True)
+                outputs.add(((tmp_path / "model.ckpt").read_bytes(),
+                             (tmp_path / "report.json").read_bytes()))
+        assert len(outputs) == 1
 
 
 class TestRandomLoadsAtFirstDraw:
@@ -651,6 +742,17 @@ def training_class_in_test(tmp):
             f"checkpoint {tmp / 'model.ckpt'}")
 
 
+def overflowing_test_class_factor(tmp):
+    """A checkpoint of ones, and word vectors of 1e308 for the zsl_test
+    classes, so that the class factor W_e @ Psi_e.T overflows."""
+    checkpoint = io.load_checkpoint(tmp / "model.ckpt")
+    io.save_checkpoint(tmp / "model.ckpt", CompatModel(np.ones_like(checkpoint.model.W_e)),
+                       checkpoint.classes, checkpoint.block_layout)
+    huge_word_vectors(tmp / "word_vectors.txt", ("class08", "class09"))
+    return (f"checkpoint {tmp / 'model.ckpt'} on split 'zsl_test': class factor "
+            f"W_e @ Psi_e.T is not finite (nan or inf)")
+
+
 def embeddings_without(tmp, cls):
     embeddings = io.load_class_embeddings(tmp / "embeddings.txt")
     keep = [c for c in embeddings.class_names if c != cls]
@@ -985,6 +1087,7 @@ class TestValidateAgreement:
         case("predict", checkpoint_of_other_d, EMBEDDINGS, CHECKPOINT),
         case("eval", training_class_in_test, EMBEDDINGS, CHECKPOINT),
         case("eval", negative_embedding_dimension, EMBEDDINGS, CHECKPOINT),
+        case("eval", overflowing_test_class_factor, CHECKPOINT),
     ])
     def test_validate_fails_where_command_fails(self, experiment, capsys,
                                                 command, corrupt, settings):

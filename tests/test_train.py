@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import subprocess
 import sys
 from collections import Counter
 from unittest import mock
@@ -11,7 +12,8 @@ import pytest
 
 from synthdata import linear_problem
 from test_kernels import full_gradient
-from zslkit import kernels
+import zslkit
+from zslkit import forking, kernels
 from zslkit.embeddings import ClassEmbeddingSet
 from zslkit.errors import (
     ConfigError,
@@ -25,7 +27,7 @@ from zslkit.evaluate import ClassSplits, SplitDataset, evaluate_zsl
 from zslkit.model import extend_embedding
 from zslkit.optim import AdamState, adam_step
 from zslkit.rng import component_rng
-from zslkit.train import TrainConfig, init_model, oversample_indices, train
+from zslkit.train import TrainConfig, _draw_rows, init_model, oversample_indices, train
 
 
 class TestInitModel:
@@ -531,3 +533,134 @@ class TestForked:
             with _forked(2, None, duplex=True) as (n, parts):
                 assert (n, parts) == (1, [])
         set_mask.assert_not_called()
+
+
+class TestOwnedRows:
+    """Each row block of W_e has one owner process, which alone draws,
+    sweeps, checks and keeps its rows."""
+
+    def test_rows_drawn_in_shares_are_one_draw(self):
+        """Each entry of the glorot_uniform draw takes one draw of the
+        stream, so rows drawn by their owners hold the bits of one draw."""
+        d, m = 255, 160
+        bound = np.sqrt(6.0 / (d + 1 + m + 1))
+        whole = component_rng(9, "init").uniform(-bound, bound, size=(d + 1, m + 1))
+        assert init_model(d, m, seed=9).W_e.tobytes() == whole.tobytes()
+        W_e = np.empty_like(whole)
+        for start, stop in ((203, 256), (0, 100), (100, 203)):
+            _draw_rows(W_e, start, stop, 9)
+        assert W_e.tobytes() == whole.tobytes()
+
+    def test_divergence_in_the_workers_rows_names_the_serial_fault(self, monkeypatch):
+        """Rows of the worker's share that stop being finite just before a
+        snapshot are found by the worker, and training stops with the
+        message of a run in one process."""
+        step = TRAIN.adam_step
+
+        def overflow_at_step_4(state, params, grad, **walk):
+            step(state, params, grad, **walk)
+            if state.t == 4 and walk["rows"][1] == len(params):  # the last rows' share
+                params[-2, 0] = np.inf
+
+        monkeypatch.setattr(TRAIN, "adam_step", overflow_at_step_4)
+        case = sweep_case()
+        with pytest.raises(DivergenceError) as serial:
+            train(*case)
+        with split_sweep() as forks, pytest.raises(DivergenceError) as split:
+            train(*case)
+        assert len(forks) == 1
+        assert str(split.value) == str(serial.value) == (
+            "training diverged at iteration 4: parameters are not finite")
+        no_child_left()
+
+    def test_overflowing_validation_scores_name_the_iteration(self):
+        """Finite parameters whose validation scores overflow stop training
+        at the first snapshot, with the iteration named."""
+        dataset, embeddings = tiny_problem(seed=13)
+        matrix = embeddings.matrix.copy()
+        matrix[2:4] = 1e308  # the validation classes c2 and c3
+        huge = ClassEmbeddingSet(embeddings.class_names, matrix, embeddings.block_layout)
+        cfg = TrainConfig(batch_size=4, max_iterations=10, eval_every=5, seed=0)
+        with pytest.raises(DivergenceError, match=(
+                r"^training diverged at iteration 5: validation scores are not "
+                r"finite \(nan or inf\)$")):
+            train(dataset, huge, cfg)
+
+    def test_parent_maps_only_its_rows(self):
+        """In a fresh interpreter, training a W_e of 16 MiB split between
+        two processes raises this process's peak RSS less than training it
+        in one process does, by at least 1.5 times W_e: this process holds
+        only its half of W_e, of the moments and of the best snapshot."""
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("VmHWM is read from /proc/self/status")
+        code = """if True:
+            import os, sys
+            import numpy as np
+            from zslkit.embeddings import ClassEmbeddingSet
+            from zslkit.evaluate import ClassSplits, SplitDataset
+            from zslkit.train import TrainConfig, train
+
+            cpus = set(range(int(sys.argv[1])))
+            os.sched_getaffinity = lambda pid: cpus
+            os.sched_setaffinity = lambda pid, mask: None
+            d, m = 4095, 511  # W_e of 4096 x 512 float64: 16 MiB
+            rng = np.random.default_rng(0)
+            classes = tuple(f"c{i}" for i in range(6))
+            labels = tuple(c for c in classes for _ in range(2))
+            dataset = SplitDataset(tuple(f"i{i}" for i in range(12)),
+                                   rng.normal(size=(12, d)), labels,
+                                   ClassSplits(classes[:2], classes[2:4], classes[4:]))
+            embeddings = ClassEmbeddingSet(classes, rng.normal(size=(6, m)),
+                                           (("word", 0, m),))
+
+            def peak_kib():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status
+                                if line.startswith("VmHWM:"))
+
+            before = peak_kib()
+            train(dataset, embeddings, TrainConfig(batch_size=4, max_iterations=2,
+                                                   eval_every=1, seed=0))
+            print(peak_kib() - before)
+        """
+        env = dict(os.environ, PYTHONPATH=str(os.path.dirname(os.path.dirname(zslkit.__file__))))
+        growth = {cpus: int(subprocess.run([sys.executable, "-c", code, str(cpus)], env=env,
+                                           capture_output=True, text=True, check=True).stdout)
+                  for cpus in (1, 2)}
+        W_e_kib = 4096 * 512 * 8 // 1024
+        assert growth[1] - growth[2] >= 1.5 * W_e_kib, growth
+
+
+class TestOneBlasThread:
+    def test_train_sets_one_thread_and_restores_the_count(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr(forking, "_blas_threads", lambda: (counts.append, lambda: 4))
+        train(*tiny_problem(seed=1), TrainConfig(batch_size=4, max_iterations=2, eval_every=2))
+        assert counts == [1, 4]
+
+    def test_numpys_openblas_count_inside_and_after(self):
+        blas = forking._blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count call")
+        set_threads, get_threads = blas
+        before = get_threads()
+        try:
+            set_threads(2)
+            with forking.one_blas_thread():
+                assert get_threads() == 1
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+
+    def test_without_the_call_nothing_changes(self, monkeypatch):
+        """A BLAS that exports none of the thread-count calls is left as it
+        is, and training runs."""
+        monkeypatch.setattr(forking, "_BLAS_SYMBOLS", (("no_such_set", "no_such_get"),))
+        forking._blas_threads.cache_clear()
+        try:
+            assert forking._blas_threads() is None
+            report = train(*tiny_problem(seed=1),
+                           TrainConfig(batch_size=4, max_iterations=2, eval_every=2))
+            assert len(report.records) == 1
+        finally:
+            forking._blas_threads.cache_clear()
